@@ -15,10 +15,12 @@ import json
 import sys
 from pathlib import Path
 
+from ._util import derive_seed
 from ._version import __version__
 from .cluster import LINKAGES, cut, hcluster
 from .corpus import CorpusProfile, generate_corpus
 from .decompose import (
+    Community,
     attributes_csv,
     attributes_from_csv,
     communities,
@@ -111,7 +113,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         pubs = [p for p in pubs if p.year == args.year]
     transactions = [p.author_set for p in pubs]
     if args.sample is not None:
-        transactions = sample_transactions(transactions, args.sample, args.seed)
+        seed = args.seed if args.year is None else derive_seed(args.seed, "sample", args.year)
+        transactions = sample_transactions(transactions, args.sample, seed)
     thresholds = Thresholds(args.min_support, args.min_confidence, args.min_lift)
     rules = mine_rules(transactions, thresholds)
     _write_output(rules_to_csv(rules), args.out)
@@ -180,23 +183,54 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _communities_from_json(text: str, path: str):
-    from .decompose import Community
+    def bad(reason: str) -> InputError:
+        return InputError(f"malformed communities JSON in {path}: {reason}")
 
     try:
         data = json.loads(text)
-        year = data["year"]
-        comms = [
+    except ValueError as exc:
+        raise bad(str(exc)) from exc
+    if not isinstance(data, dict) or "year" not in data or "communities" not in data:
+        raise bad("expected an object with 'year' and 'communities'")
+    year = data["year"]
+    if not _is_int(year):
+        raise bad(f"year must be an integer, got {year!r}")
+    if not isinstance(data["communities"], list):
+        raise bad("'communities' must be a list")
+    comms = []
+    for entry in data["communities"]:
+        if not isinstance(entry, dict) or not {"id", "members", "edges"} <= entry.keys():
+            raise bad("each community needs 'id', 'members' and 'edges'")
+        cid, members, edges = entry["id"], entry["members"], entry["edges"]
+        if not _is_int(cid):
+            raise bad(f"community id must be an integer, got {cid!r}")
+        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+            raise bad(f"community {cid}: members must be a list of strings")
+        if not isinstance(edges, list):
+            raise bad(f"community {cid}: edges must be a list")
+        member_set = frozenset(members)
+        for e in edges:
+            if not (
+                isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)
+            ):
+                raise bad(f"community {cid}: edge {e!r} is not a pair of strings")
+            if e[0] == e[1]:
+                raise bad(f"community {cid}: self-loop on {e[0]!r}")
+            if not member_set.issuperset(e):
+                raise bad(f"community {cid}: edge {e[0]} -> {e[1]} leaves the member set")
+        comms.append(
             Community(
-                id=entry["id"],
-                members=frozenset(entry["members"]),
-                edges=frozenset((a, b) for a, b in entry["edges"]),
+                id=cid,
+                members=member_set,
+                edges=frozenset((a, b) for a, b in edges),
                 year=year,
             )
-            for entry in data["communities"]
-        ]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"malformed communities JSON in {path}: {exc}") from exc
+        )
     return year, comms
 
 
@@ -344,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-confidence", type=float, default=Thresholds().min_confidence)
     p.add_argument("--min-lift", type=float, default=Thresholds().min_lift)
     p.add_argument("--sample", type=float, help="Bernoulli transaction sampling fraction")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--seed", type=int, default=0,
+                   help="sampling seed; with --year Y the sample is seeded from "
+                   "(seed, Y) as in 'pipeline', without --year from the seed alone")
     p.add_argument("--out", metavar="PATH", help="output rules CSV (default stdout)")
     p.set_defaults(func=_cmd_mine)
 

@@ -267,25 +267,24 @@ def newick(d: Dendrogram) -> str:
     """Newick rendering with ultrametric branch lengths."""
     if d.n_leaves == 0:
         return ";"
-    n = d.n_leaves
-    height: dict[int, float] = {}
-    children: dict[int, tuple[int, int]] = {}
-    for t, (a, b, h) in enumerate(d.merges):
-        children[n + t] = (a, b)
-        height[n + t] = h
-
-    def render(idx: int, parent_h: float) -> str:
-        if idx < n:
-            body = _newick_label(d.leaves[idx])
-            own = 0.0
-        else:
-            a, b, own = *children[idx], height[idx]
-            body = f"({render(a, own)},{render(b, own)})"
-        return f"{body}:{fmt12(parent_h - own)}"
-
     if not d.merges:
         return f"{_newick_label(d.leaves[0])};"
-    root = n + len(d.merges) - 1
-    a, b = children[root]
-    h = height[root]
-    return f"({render(a, h)},{render(b, h)});"
+    n = d.n_leaves
+    a, b, h = d.merges[-1]
+    # An explicit stack of literal text and (cluster, parent height) items
+    # renders left to right; chains of identical vectors can be thousands of
+    # levels deep, past Python's recursion limit.
+    stack: list[str | tuple[int, float]] = [");", (b, h), ",", (a, h), "("]
+    out: list[str] = []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        idx, parent_h = item
+        if idx < n:
+            out.append(f"{_newick_label(d.leaves[idx])}:{fmt12(parent_h)}")
+        else:
+            a, b, own = d.merges[idx - n]
+            stack += [f"):{fmt12(parent_h - own)}", (b, own), ",", (a, own), "("]
+    return "".join(out)

@@ -171,11 +171,14 @@ def communities(g: AssocGraph) -> list[Community]:
             component_members.append(comp)
 
     component_members.sort(key=min)
-    result = []
-    for cid, members in enumerate(component_members):
-        induced = frozenset(e for e in g.edges if e[0] in members)
-        result.append(Community(cid, frozenset(members), induced, year=g.year))
-    return result
+    label = {m: cid for cid, members in enumerate(component_members) for m in members}
+    induced: list[list[tuple[str, str]]] = [[] for _ in component_members]
+    for e in g.edges:
+        induced[label[e[0]]].append(e)
+    return [
+        Community(cid, frozenset(members), frozenset(induced[cid]), year=g.year)
+        for cid, members in enumerate(component_members)
+    ]
 
 
 def _bridge_triangles(pairs: Iterable[tuple[str, str]]) -> int:

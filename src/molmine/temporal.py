@@ -17,7 +17,6 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from ._util import fmt12
@@ -103,14 +102,6 @@ def classify_lifecycle(years_present: Iterable[int], year_range: tuple[int, int]
     return Lifecycle.TRANSIENT
 
 
-def _jaccard_at_least(a: tuple, b: tuple, tau: float) -> bool:
-    sa, sb = set(a), set(b)
-    union = len(sa | sb)
-    if union == 0:
-        return False
-    return Fraction(len(sa & sb), union) >= Fraction(tau)
-
-
 def match_across_years(
     snapshots: Mapping[int, Sequence[Community]],
     mode: str = "structural",
@@ -122,6 +113,15 @@ def match_across_years(
     ``snapshots`` maps year to that year's communities; years missing from
     the map (inside the range) count as absence for every signature. The
     analysis range defaults to the min..max snapshot years.
+
+    In membership mode, signatures of adjacent years are joined when their
+    member sets have Jaccard >= ``jaccard_tau``, tested in exact integers as
+    ``inter * den >= num * union`` with ``num / den`` the exact value of the
+    double ``jaccard_tau``. Only pairs that share an author are compared, so
+    the cost grows with shared authors, not with the number of community
+    pairs. ``jaccard_tau = 0`` accepts every pair, disjoint ones included:
+    two adjacent non-empty years then join into one group. Each group is
+    represented by its least signature.
     """
     if mode not in IDENTITY_MODES:
         raise ConfigError(f"unknown identity mode {mode!r}, expected one of {IDENTITY_MODES}")
@@ -157,14 +157,39 @@ def match_across_years(
                 parent[s], s = root, parent[s]
             return root
 
+        def union(s1: Signature, s2: Signature) -> None:
+            r1, r2 = find(s1), find(s2)
+            if r1 != r2:
+                lo, hi = (r1, r2) if r1 < r2 else (r2, r1)
+                parent[hi] = lo
+
+        num, den = jaccard_tau.as_integer_ratio()
         for y in range(y0, y1):
-            for s1 in per_year[y]:
-                for s2 in per_year[y + 1]:
-                    if _jaccard_at_least(s1.key, s2.key, jaccard_tau):
-                        r1, r2 = find(s1), find(s2)
-                        if r1 != r2:
-                            lo, hi = (r1, r2) if r1 < r2 else (r2, r1)
-                            parent[hi] = lo
+            earlier, later = per_year[y], per_year[y + 1]
+            if not earlier or not later:
+                continue
+            if num == 0:
+                # tau = 0 accepts every pair, disjoint sets included, so
+                # both years collapse into one group.
+                for s in earlier[1:] + later:
+                    union(earlier[0], s)
+                continue
+            # Pairs sharing no author have Jaccard 0 < tau, so each earlier
+            # signature is compared only with the later ones it shares an
+            # author with.
+            by_author: dict[str, list[int]] = {}
+            for j, s2 in enumerate(later):
+                for author in s2.key:
+                    by_author.setdefault(author, []).append(j)
+            for s1 in earlier:
+                shared: dict[int, int] = {}
+                for author in s1.key:
+                    for j in by_author.get(author, ()):
+                        shared[j] = shared.get(j, 0) + 1
+                for j, inter in shared.items():
+                    s2 = later[j]
+                    if inter * den >= num * (len(s1.key) + len(s2.key) - inter):
+                        union(s1, s2)
         groups: dict[Signature, set[int]] = {}
         for s, years in sig_years.items():
             groups.setdefault(find(s), set()).update(years)

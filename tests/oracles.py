@@ -154,6 +154,48 @@ def oracle_hcluster(vectors, linkage="average"):
     return merges
 
 
+# --------------------------------------------------------------- timelines
+
+
+def oracle_membership_groups(snapshots, tau, year_range=None):
+    """Membership-mode timeline groups by comparing every adjacent-year pair.
+
+    ``snapshots`` maps year to an iterable of member collections. Each pair
+    of distinct member sets in adjacent years is tested with exact
+    ``Fraction`` Jaccard (an empty union never matches); matching groups are
+    merged by relabelling every set of the larger label. Returns sorted
+    ``(least member tuple of the group, sorted years present)`` pairs.
+    """
+    if year_range is None:
+        year_range = (min(snapshots), max(snapshots))
+    y0, y1 = year_range
+    per_year = {
+        y: {tuple(sorted(set(m))) for m in snapshots.get(y, [])} for y in range(y0, y1 + 1)
+    }
+    label, years_of = {}, {}
+    for y, keys in per_year.items():
+        for k in keys:
+            label[k] = k
+            years_of.setdefault(k, set()).add(y)
+    threshold = Fraction(tau)
+    for y in range(y0, y1):
+        for a in per_year[y]:
+            for b in per_year[y + 1]:
+                union = len(set(a) | set(b))
+                if union == 0 or Fraction(len(set(a) & set(b)), union) < threshold:
+                    continue
+                la, lb = label[a], label[b]
+                if la != lb:
+                    keep, drop = min(la, lb), max(la, lb)
+                    for k in label:
+                        if label[k] == drop:
+                            label[k] = keep
+    groups = {}
+    for k, lab in label.items():
+        groups.setdefault(lab, set()).update(years_of[k])
+    return sorted((lab, tuple(sorted(ys))) for lab, ys in groups.items())
+
+
 # --------------------------------------------------------------- lifecycle
 
 

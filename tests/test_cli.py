@@ -129,6 +129,21 @@ class TestMine:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
+    def test_sampled_year_matches_pipeline(self, corpus, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        rc, _, _ = run(
+            capsys, "pipeline", "--input", str(corpus), "--sample", "0.5", "--seed", "3",
+            "--out-dir", str(out_dir),
+        )
+        assert rc == 0
+        staged = tmp_path / "rules_2002.csv"
+        rc, _, _ = run(
+            capsys, "mine", "--input", str(corpus), "--year", "2002",
+            "--sample", "0.5", "--seed", "3", "--out", str(staged),
+        )
+        assert rc == 0
+        assert staged.read_bytes() == (out_dir / "rules_2002.csv").read_bytes()
+
 
 class TestDecompose:
     def test_from_edge_list(self, tmp_path, capsys):
@@ -302,6 +317,39 @@ class TestTimeline:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"year\": 1994}")
         rc, _, err = run(capsys, "timeline", "--communities", str(bad))
+        assert rc == 1 and "malformed communities JSON" in err
+
+    GOOD_ENTRY = {"id": 0, "members": ["A", "B"], "edges": [["A", "B"]]}
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param([GOOD_ENTRY], id="not-an-object"),
+            pytest.param({"year": "1994", "communities": [GOOD_ENTRY]}, id="string-year"),
+            pytest.param({"year": True, "communities": [GOOD_ENTRY]}, id="bool-year"),
+            pytest.param({"year": 1994.0, "communities": [GOOD_ENTRY]}, id="float-year"),
+            pytest.param({"year": 1994, "communities": {"0": GOOD_ENTRY}}, id="communities-dict"),
+            pytest.param({"year": 1994, "communities": [["A", "B"]]}, id="entry-not-object"),
+            pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY, "id": "0"}]}, id="string-id"),
+            pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY, "id": False}]}, id="bool-id"),
+            pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY, "members": "AB"}]},
+                         id="members-string"),
+            pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY, "members": ["A", 2]}]},
+                         id="member-not-string"),
+            pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY, "edges": [["A", "B", "A"]]}]},
+                         id="edge-triple"),
+            pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY, "edges": [["A", 1]]}]},
+                         id="edge-not-strings"),
+            pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY, "edges": [["A", "C"]]}]},
+                         id="edge-to-non-member"),
+            pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY, "edges": [["A", "A"]]}]},
+                         id="self-loop"),
+        ],
+    )
+    def test_invalid_communities_exit_1(self, payload, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        rc, _, err = run(capsys, "timeline", "--communities", str(bad), "--identity", "membership")
         assert rc == 1 and "malformed communities JSON" in err
 
 

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from molmine.cluster import Dendrogram, cut, distance, hcluster, newick
+from molmine._util import fmt12
+from molmine.cluster import Dendrogram, _newick_label, cut, distance, hcluster, newick
 from molmine.decompose import AttributeVector
 from oracles import oracle_hcluster
 
@@ -165,6 +166,64 @@ class TestNewick:
         text = newick(d)
         assert text.count("(") == text.count(")") == 9
         assert text.endswith(";")
+
+
+def recursive_newick(d):
+    """The recursive renderer ``newick`` replaced; reference for its output."""
+    if d.n_leaves == 0:
+        return ";"
+    n = d.n_leaves
+    if not d.merges:
+        return f"{_newick_label(d.leaves[0])};"
+
+    def render(idx, parent_h):
+        if idx < n:
+            body, own = _newick_label(d.leaves[idx]), 0.0
+        else:
+            a, b, own = d.merges[idx - n]
+            body = f"({render(a, own)},{render(b, own)})"
+        return f"{body}:{fmt12(parent_h - own)}"
+
+    a, b, h = d.merges[-1]
+    return f"({render(a, h)},{render(b, h)});"
+
+
+class TestNewickReference:
+    CASES = [
+        ([(0.0,), (0.0,), (3.0,)], ["a", "b", "c"]),
+        ([(1.0,)], ["solo"]),
+        ([(0.0,), (3.0,)], ["a b(x)", "c:d,e"]),
+        ([(0.0,), (0.1,), (5.0,)], ["a", "b", "c"]),
+        ([(0.0, 5), (2, 5), (4, 5)], None),
+        ([(1,), (0,), (0,)], [(1995, 0), (1994, 1), (1994, 0)]),
+        ([STAR_IN, STAR_OUT, STAR_IN, (0, 1, 0, 2, 2, 2)], None),
+    ]
+
+    def test_matches_recursive_on_fixed_inputs(self):
+        assert newick(Dendrogram(leaves=(), merges=())) == recursive_newick(
+            Dendrogram(leaves=(), merges=())
+        )
+        for vectors, ids in self.CASES:
+            for linkage in ("average", "single", "complete"):
+                d = hcluster(vectors, ids=ids, linkage=linkage)
+                assert newick(d) == recursive_newick(d)
+
+    def test_matches_recursive_on_random_dendrograms(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            n = rng.randint(1, 30)
+            vectors = random_vectors(rng, n, hi=rng.choice([1, 3, 9]))
+            d = hcluster(vectors, linkage=rng.choice(["average", "single", "complete"]))
+            assert newick(d) == recursive_newick(d)
+
+    def test_deep_chain_of_identical_vectors(self):
+        n = 1500
+        d = hcluster([STAR_IN] * n)
+        text = newick(d)
+        assert text.endswith(";")
+        assert text.count("(") == text.count(")") == n - 1
+        leaves = text.replace("(", "").replace(")", "").rstrip(";").split(",")
+        assert [leaf.split(":")[0] for leaf in leaves] == [str(i) for i in range(n)]
 
 
 class TestJson:

@@ -77,6 +77,30 @@ class TestCommunities:
             got = [sorted(c.members) for c in communities(g)]
             assert got == oracle_components(g.nodes, g.edges)
 
+    def test_many_components_match_oracle(self):
+        rng = random.Random(29)
+        for _ in range(3):
+            names = [f"n{i:05d}" for i in range(3000)]
+            rng.shuffle(names)  # interleave every component's members in sort order
+            edges = set()
+            sizes = [rng.randint(2, 5) for _ in range(400)] + [200]
+            for size in sizes:
+                group, names = names[:size], names[size:]
+                for a, b in zip(group, group[1:]):  # a path keeps the group connected
+                    edges.add((a, b) if rng.random() < 0.5 else (b, a))
+                edges.update(
+                    (a, b) for a, b in permutations(group, 2) if rng.random() < 6 / size**2
+                )
+            g = AssocGraph.from_edges(edges, year=2003, extra_nodes=names[:50])
+            comms = communities(g)
+            expected = oracle_components(g.nodes, g.edges)
+            assert len(expected) == len(sizes)
+            assert [c.id for c in comms] == list(range(len(expected)))
+            assert [sorted(c.members) for c in comms] == expected
+            for c, members in zip(comms, expected):
+                assert c.edges == {e for e in g.edges if e[0] in members}
+                assert c.year == 2003
+
 
 GOLDEN = [
     # (name, edge list, expected sextuple)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,7 @@ from molmine.temporal import (
     signature,
     timelines_to_json_dict,
 )
-from oracles import oracle_lifecycle
+from oracles import oracle_lifecycle, oracle_membership_groups
 
 
 def comm(edges, cid=0, year=0):
@@ -146,6 +147,41 @@ class TestMatchAcrossYears:
         )
         assert len(timelines) == 1
         assert timelines[0].years_present == (2000, 2005)
+
+    @pytest.mark.parametrize("tau", [0, 0.1, 1 / 3, 0.5, 1.0])
+    def test_membership_matches_oracle(self, tau):
+        rng = random.Random(f"membership-{tau}")
+        authors = [f"a{i}" for i in range(10)]
+        for _ in range(60):
+            snapshots = {}
+            for y in range(2000, 2000 + rng.randint(1, 6)):
+                roll = rng.random()
+                if roll < 0.15:
+                    continue  # missing year
+                if roll < 0.25:
+                    snapshots[y] = []  # empty year
+                    continue
+                # drawn independently, so sets overlap within a year; a few are empty
+                snapshots[y] = [
+                    Community(
+                        id=i,
+                        members=frozenset(rng.sample(authors, rng.choice([0, 1, 2, 2, 3, 4, 6]))),
+                        edges=frozenset(),
+                        year=y,
+                    )
+                    for i in range(rng.randint(1, 7))
+                ]
+            if not snapshots:
+                snapshots[2000] = []
+            year_range = None
+            if rng.random() < 0.3:
+                year_range = (min(snapshots) - rng.randint(0, 2), max(snapshots) + rng.randint(0, 2))
+            got = match_across_years(
+                snapshots, mode="membership", jaccard_tau=tau, year_range=year_range
+            )
+            members = {y: [c.members for c in comms] for y, comms in snapshots.items()}
+            want = oracle_membership_groups(members, tau, year_range)
+            assert [(t.signature.key, t.years_present) for t in got] == want
 
     def test_errors(self):
         with pytest.raises(InputError):
