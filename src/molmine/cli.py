@@ -160,6 +160,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if not rows:
         raise InputError("no attribute rows to cluster")
     ids = [(r["year"], r["community_id"]) for r in rows]
+    seen: set[tuple[int, int]] = set()
+    for leaf in ids:
+        if leaf in seen:
+            raise InputError(f"duplicate attribute row for community {_leaf_key(leaf)}")
+        seen.add(leaf)
     vectors = [(r["SB"], r["BR"], r["DI"], r["NU"], r["RE"], r["TR"]) for r in rows]
     dend = hcluster(vectors, ids=ids, linkage=args.linkage, normalize=args.normalize)
     payload = dend.to_json_dict()

@@ -9,6 +9,19 @@ Determinism: leaves are canonically sorted by id before clustering, and among
 equal-distance cluster pairs the one with the lexicographically smallest
 (min-leaf-id, min-leaf-id) key is merged first. Permuting the input order
 therefore never changes the merge sequence.
+
+Algorithm: identical vectors collapse first, at height zero, leaving u
+distinct rows. The merge loop is the primitive one (merge the closest pair,
+update its row by Lance-Williams) with a cached nearest neighbour per row
+(Muellner 2011, arXiv:1109.2378), so each merge reads the global minimum
+from u cached values instead of scanning the u x u matrix. The cache holds
+each row's first minimum column, which makes the tie-break exact: the merges
+and their heights are those of the full scan, bit for bit. Cost is O(u^2)
+memory and typically O(u^2) time; a merge rescans only the rows whose
+neighbour it removed. The nearest-neighbour chain algorithm is not used: it
+applies the Lance-Williams updates in another order, which moves heights by
+a few ulps, and under the exact ties integer sextuples produce it does not
+reproduce the smallest-leaf tie-break.
 """
 
 from __future__ import annotations
@@ -141,7 +154,8 @@ def hcluster(
     for i, row in enumerate(rows):
         groups.setdefault(row, []).append(i)
 
-    cluster_key: list[int] = []  # min leaf index per active cluster
+    # Unique rows are ordered by their smallest leaf and a merge keeps the
+    # smaller row index, so row index order is the tie-break's key order.
     cluster_idx: list[int] = []  # scipy-style cluster index
     cluster_size: list[int] = []
     unique_rows: list[tuple[float, ...]] = []
@@ -151,7 +165,6 @@ def hcluster(
             merges.append((current, leaf, 0.0))
             current = next_idx
             next_idx += 1
-        cluster_key.append(members[0])
         cluster_idx.append(current)
         cluster_size.append(len(members))
         unique_rows.append(row)
@@ -159,20 +172,22 @@ def hcluster(
     u = len(unique_rows)
     if u > 1:
         D = _pairwise(unique_rows)
+        if not math.isfinite(D.max()):  # max propagates NaN
+            raise ValueError("vectors must be finite and their distances must not overflow")
         np.fill_diagonal(D, np.inf)
         sizes = np.array(cluster_size, dtype=float)
+        # nn[r] is the first column holding the minimum of row r and nnd[r]
+        # that minimum; a merged-away row gets nn = -1 and nnd = inf.
+        nn = D.argmin(axis=1)
+        nnd = D[np.arange(u), nn]
         prev_height = 0.0
         for _ in range(u - 1):
-            m = D.min()
-            cand = np.argwhere(D == m)
-            best = min(
-                ((min(cluster_key[i], cluster_key[j]), max(cluster_key[i], cluster_key[j]), i, j)
-                 for i, j in cand if i < j)
-            )
-            i, j = best[2], best[3]
-            if cluster_key[j] < cluster_key[i]:
-                i, j = j, i  # keep the smaller key on the surviving cluster
-            height = float(m)
+            # D is symmetric, so the first row holding the global minimum
+            # has its first minimum column to its right: (i, j) is the
+            # smallest (min-leaf, min-leaf) pair at that distance.
+            i = int(nnd.argmin())
+            j = int(nn[i])
+            height = float(nnd[i])
             if height < prev_height - _INVERSION_SLACK * max(1.0, prev_height):
                 raise ValueError(
                     f"dendrogram height inversion: {height} after {prev_height}"
@@ -194,6 +209,22 @@ def hcluster(
             sizes[i] += sizes[j]
             cluster_idx[i] = next_idx
             next_idx += 1
+
+            # Besides column j, now inf, only column i changed, so a row
+            # whose neighbour was neither i nor j keeps it or moves to i.
+            # Every row is tested: the new distance can tie a row's minimum
+            # at a column left of its neighbour, and a new average can round
+            # below both distances it averages. Rows that pointed at i or j
+            # (row i among them, since nn[i] == j) are rescanned.
+            stale = np.flatnonzero((nn == i) | (nn == j))
+            col = D[:, i]
+            closer = (col < nnd) | ((col == nnd) & (nn > i))
+            nn[closer] = i
+            nnd[closer] = col[closer]
+            nn[j], nnd[j] = -1, np.inf
+            stale = stale[stale != j]
+            nn[stale] = D[stale].argmin(axis=1)
+            nnd[stale] = D[stale, nn[stale]]
 
     return Dendrogram(leaves=leaves, merges=tuple(merges), linkage=linkage, normalized=normalize)
 
@@ -240,6 +271,8 @@ def cut(
             raise ValueError(f"k must be in [1, {d.n_leaves}], got {k}")
         n_merges = d.n_leaves - k
     else:
+        if not math.isfinite(height):
+            raise ValueError(f"height must be finite, got {height}")
         if height < 0:
             raise ValueError(f"height must be non-negative, got {height}")
         n_merges = bisect_right(d.heights(), height)

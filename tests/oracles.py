@@ -2,7 +2,8 @@
 
 Deliberately naive: plain scans, triple loops, and from-scratch linkage
 recomputation. These share no code path with the library so that agreement
-is evidence, not tautology.
+is evidence, not tautology. The one exception is ``primitive_hcluster``, the
+former merge loop of ``hcluster``, kept as the bit-exact reference for it.
 """
 
 from __future__ import annotations
@@ -10,6 +11,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import Hashable, Sequence
+
+import numpy as np
+
+from molmine.cluster import (
+    _INVERSION_SLACK,
+    LINKAGES,
+    Dendrogram,
+    _as_tuple,
+    _minmax_scale,
+    _pairwise,
+)
+from molmine.decompose import AttributeVector
 
 
 # ----------------------------------------------------------------- mining
@@ -152,6 +166,109 @@ def oracle_hcluster(vectors, linkage="average"):
         del clusters[ci], clusters[cj]
         next_idx += 1
     return merges
+
+
+def primitive_hcluster(
+    vectors: Sequence[AttributeVector | Sequence[float]],
+    ids: Sequence[Hashable] | None = None,
+    linkage: str = "average",
+    normalize: bool = False,
+) -> Dendrogram:
+    """The primitive O(u^3) loop ``hcluster`` used before its nearest-neighbour
+    cache: every merge scans the whole matrix for its minimum and picks the
+    smallest (min-leaf, min-leaf) key among the cells holding it.
+
+    Unlike the other oracles here it shares the library's input handling,
+    scaling and distance matrix, and differs only in how each merge is
+    found, so the two are compared for equality to the bit.
+    """
+    if linkage not in LINKAGES:
+        raise ValueError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
+    vecs = [_as_tuple(v) for v in vectors]
+    if not vecs:
+        raise ValueError("hcluster requires at least one vector")
+    if len({len(v) for v in vecs}) != 1:
+        raise ValueError("all vectors must have the same dimension")
+    leaf_ids: list[Hashable] = list(ids) if ids is not None else list(range(len(vecs)))
+    if len(leaf_ids) != len(vecs):
+        raise ValueError("ids and vectors must have equal length")
+    if len(set(leaf_ids)) != len(leaf_ids):
+        raise ValueError("leaf ids must be unique")
+
+    order = sorted(range(len(vecs)), key=lambda i: leaf_ids[i])
+    leaves = tuple(leaf_ids[i] for i in order)
+    rows = [vecs[i] for i in order]
+    if normalize:
+        rows = _minmax_scale(rows)
+
+    n = len(rows)
+    merges: list[tuple[int, int, float]] = []
+    next_idx = n
+
+    # Identical vectors sit at distance zero, so they are always merged
+    # first; under the tie-break each duplicate group collapses into its
+    # smallest leaf, groups in ascending order of that leaf. Collapsing them
+    # up front leaves a strictly positive distance matrix for the main loop
+    # and is merge-for-merge identical to running the plain algorithm.
+    groups: dict[tuple[float, ...], list[int]] = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(row, []).append(i)
+
+    cluster_key: list[int] = []  # min leaf index per active cluster
+    cluster_idx: list[int] = []  # scipy-style cluster index
+    cluster_size: list[int] = []
+    unique_rows: list[tuple[float, ...]] = []
+    for row, members in sorted(groups.items(), key=lambda kv: kv[1][0]):
+        current = members[0]
+        for leaf in members[1:]:
+            merges.append((current, leaf, 0.0))
+            current = next_idx
+            next_idx += 1
+        cluster_key.append(members[0])
+        cluster_idx.append(current)
+        cluster_size.append(len(members))
+        unique_rows.append(row)
+
+    u = len(unique_rows)
+    if u > 1:
+        D = _pairwise(unique_rows)
+        np.fill_diagonal(D, np.inf)
+        sizes = np.array(cluster_size, dtype=float)
+        prev_height = 0.0
+        for _ in range(u - 1):
+            m = D.min()
+            cand = np.argwhere(D == m)
+            best = min(
+                ((min(cluster_key[i], cluster_key[j]), max(cluster_key[i], cluster_key[j]), i, j)
+                 for i, j in cand if i < j)
+            )
+            i, j = best[2], best[3]
+            if cluster_key[j] < cluster_key[i]:
+                i, j = j, i  # keep the smaller key on the surviving cluster
+            height = float(m)
+            if height < prev_height - _INVERSION_SLACK * max(1.0, prev_height):
+                raise ValueError(
+                    f"dendrogram height inversion: {height} after {prev_height}"
+                )
+            prev_height = max(prev_height, height)
+            merges.append((cluster_idx[i], cluster_idx[j], height))
+
+            if linkage == "average":
+                new_row = (sizes[i] * D[i] + sizes[j] * D[j]) / (sizes[i] + sizes[j])
+            elif linkage == "single":
+                new_row = np.minimum(D[i], D[j])
+            else:
+                new_row = np.maximum(D[i], D[j])
+            D[i, :] = new_row
+            D[:, i] = new_row
+            D[i, i] = np.inf
+            D[j, :] = np.inf
+            D[:, j] = np.inf
+            sizes[i] += sizes[j]
+            cluster_idx[i] = next_idx
+            next_idx += 1
+
+    return Dendrogram(leaves=leaves, merges=tuple(merges), linkage=linkage, normalized=normalize)
 
 
 # --------------------------------------------------------------- timelines

@@ -243,6 +243,17 @@ class TestCluster:
         rc, _, _ = run(capsys, "cluster", "--attributes", str(attributes), "--k", "0")
         assert rc == 2
 
+    def test_duplicate_leaf_ids_exit_1(self, attributes, capsys):
+        rc, _, err = run(capsys, "cluster", "--attributes", str(attributes), str(attributes))
+        assert rc == 1 and "duplicate attribute row for community 1994/0" in err
+
+    @pytest.mark.parametrize("height", ["nan", "inf", "-inf"])
+    def test_non_finite_cut_height_exits_2(self, attributes, capsys, height):
+        rc, out, err = run(
+            capsys, "cluster", "--attributes", str(attributes), f"--cut-height={height}"
+        )
+        assert rc == 2 and "finite" in err and out == ""
+
     def test_empty_attributes_exit_1(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("year,community_id,motif,arity,SB,BR,DI,NU,RE,TR\n")

@@ -6,7 +6,7 @@ import pytest
 from molmine._util import fmt12
 from molmine.cluster import Dendrogram, _newick_label, cut, distance, hcluster, newick
 from molmine.decompose import AttributeVector
-from oracles import oracle_hcluster
+from oracles import oracle_hcluster, primitive_hcluster
 
 STAR_IN = (7, 0, 0, 8, 1, 7)
 STAR_OUT = (7, 0, 0, 8, 7, 1)
@@ -40,6 +40,13 @@ class TestHcluster:
             hcluster([(1,), (2,)], ids=["x"])
         with pytest.raises(ValueError, match="dimension"):
             hcluster([(1, 2), (1,)])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_distances_rejected(self):
+        for bad in ([(math.nan,), (0.0,), (1.0,)], [(math.inf,), (0.0,), (1.0,)],
+                    [(1e200,), (-1e200,), (0.0,)]):
+            with pytest.raises(ValueError, match="finite"):
+                hcluster(bad)
 
     def test_single_vector(self):
         d = hcluster([(1, 2, 3)], ids=["only"])
@@ -103,6 +110,69 @@ class TestHcluster:
         assert d.merges[0] == (0, 1, 0.0)
 
 
+class TestPrimitiveReference:
+    """The nearest-neighbour cache must reproduce the primitive loop exactly:
+    same merges, same tie-breaks, heights equal to the bit."""
+
+    CONFIGS = [(linkage, normalize) for linkage in ("average", "single", "complete")
+               for normalize in (False, True)]
+
+    def assert_same(self, vectors, ids=None):
+        for linkage, normalize in self.CONFIGS:
+            got = hcluster(vectors, ids=ids, linkage=linkage, normalize=normalize)
+            want = primitive_hcluster(vectors, ids=ids, linkage=linkage, normalize=normalize)
+            assert got == want, (linkage, normalize)
+
+    def test_small_integer_sextuples(self):
+        rng = random.Random(505)
+        for _ in range(60):
+            n = rng.randint(1, 80)
+            vectors = random_vectors(rng, n, dim=rng.choice([1, 2, 6]), hi=rng.choice([1, 2, 3, 5]))
+            ids = [f"c{i:03d}" for i in range(n)]
+            rng.shuffle(ids)
+            self.assert_same(vectors, ids)
+
+    def test_many_rows_share_a_neighbour(self):
+        # Coordinates from {0, 1, 2}: ~300 distinct sextuples, most of them
+        # at the same distance from several others, plus many duplicates.
+        rng = random.Random(606)
+        vectors = random_vectors(rng, 400, hi=2)
+        assert len(set(vectors)) >= 250
+        self.assert_same(vectors)
+
+    def test_grid_of_equidistant_points(self):
+        self.assert_same([(x, y) for x in range(12) for y in range(12)])
+
+
+class TestScipyCrossCheck:
+    """Tie-free float inputs against scipy, which is a test-only extra."""
+
+    @staticmethod
+    def merge_leaf_sets(n, pairs):
+        members = [frozenset([i]) for i in range(n)]
+        result = []
+        for a, b in pairs:
+            a, b = members[int(a)], members[int(b)]
+            members.append(a | b)
+            result.append({a, b})
+        return result
+
+    def test_matches_scipy_linkage(self):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        rng = random.Random(707)
+        for _ in range(15):
+            n = rng.randint(2, 60)
+            vectors = [tuple(rng.random() for _ in range(6)) for _ in range(n)]
+            for linkage in ("average", "single", "complete"):
+                d = hcluster(vectors, linkage=linkage)
+                Z = hierarchy.linkage(vectors, method=linkage)
+                assert self.merge_leaf_sets(n, [m[:2] for m in d.merges]) == (
+                    self.merge_leaf_sets(n, Z[:, :2])
+                )
+                for (_, _, h), want in zip(d.merges, Z[:, 2]):
+                    assert math.isclose(h, want, rel_tol=1e-9)
+
+
 class TestCut:
     def test_cut_by_k(self):
         d = hcluster([(0.0,), (0.1,), (5.0,)], ids=["a", "b", "c"])
@@ -128,6 +198,9 @@ class TestCut:
             cut(d, k=3)
         with pytest.raises(ValueError):
             cut(d, height=-1.0)
+        for height in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                cut(d, height=height)
 
     def test_k_nonempty_clusters_randomized(self):
         rng = random.Random(88)
