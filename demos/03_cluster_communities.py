@@ -14,7 +14,7 @@ role counts, at Euclidean distance sqrt(72).
 
 import math
 
-from molmine import cut, distance, hcluster, newick
+from molmine import cut, hcluster, newick
 
 VECTORS = {
     "in-star": (7, 0, 0, 8, 1, 7),
@@ -29,7 +29,8 @@ VECTORS = {
 def main() -> None:
     print(__doc__)
 
-    d = distance(VECTORS["in-star"], VECTORS["out-star"])
+    # Two leaves merge at exactly their Euclidean distance.
+    ((_, _, d),) = hcluster([VECTORS["in-star"], VECTORS["out-star"]]).merges
     print(f"distance(in-star, out-star) = {d:.6f} (sqrt(72) = {math.sqrt(72):.6f})\n")
 
     ids = sorted(VECTORS)

@@ -3,7 +3,7 @@ association graphs into molecular communities, cluster them, and track
 pattern lifecycles across yearly snapshots."""
 
 from ._version import __version__
-from .cluster import Dendrogram, cut, distance, hcluster, newick
+from .cluster import Dendrogram, cut, hcluster, newick
 from .corpus import CorpusProfile, generate_corpus
 from .decompose import (
     Arity,
@@ -19,7 +19,6 @@ from .decompose import (
     communities_json_dict,
     community_arity,
     roles,
-    star_arity,
 )
 from .dot import to_dot
 from .errors import ConfigError, InputError
@@ -36,17 +35,13 @@ from .ingest import (
 )
 from .pipeline import PipelineConfig, RunManifest, run_pipeline
 from .rules import (
-    PairCounts,
     Rule,
     Thresholds,
-    confidence,
     count_pairs,
-    lift,
     mine_rules,
     rules_from_csv,
     rules_to_csv,
     sample_transactions,
-    support,
 )
 from .temporal import (
     Lifecycle,
@@ -73,7 +68,6 @@ __all__ = [
     "InputError",
     "Lifecycle",
     "MotifClass",
-    "PairCounts",
     "ParseResult",
     "PatternTimeline",
     "PipelineConfig",
@@ -94,13 +88,10 @@ __all__ = [
     "communities",
     "communities_json_dict",
     "community_arity",
-    "confidence",
     "count_pairs",
     "cut",
-    "distance",
     "generate_corpus",
     "hcluster",
-    "lift",
     "match_across_years",
     "mine_rules",
     "newick",
@@ -116,8 +107,6 @@ __all__ = [
     "run_pipeline",
     "sample_transactions",
     "signature",
-    "star_arity",
-    "support",
     "timelines_to_json_dict",
     "to_dot",
     "write_jsonl",

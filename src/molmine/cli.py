@@ -17,7 +17,7 @@ from pathlib import Path
 
 from ._util import derive_seed
 from ._version import __version__
-from .cluster import LINKAGES, cut, hcluster
+from .cluster import LINKAGES, check_cut, cut, hcluster
 from .corpus import CorpusProfile, generate_corpus
 from .decompose import (
     Community,
@@ -29,8 +29,8 @@ from .decompose import (
 from .dot import to_dot
 from .errors import ConfigError, InputError
 from .graph import GraphError, build_graph, parse_edge_list
-from .ingest import ParseResult, bucket_by_year, write_jsonl
-from .pipeline import FORMATS, _PARSERS, PipelineConfig, run_pipeline
+from .ingest import bucket_by_year, write_jsonl
+from .pipeline import FORMATS, PipelineConfig, read_inputs, run_pipeline
 from .rules import Thresholds, mine_rules, rules_from_csv, rules_to_csv, sample_transactions
 from .temporal import (
     DEFAULT_JACCARD,
@@ -61,17 +61,6 @@ def _write_output(text: str, out: str | None) -> None:
         raise InputError(f"cannot write {out}: {exc}") from exc
 
 
-def _parse_files(paths: list[str], fmt: str, strict: bool) -> ParseResult:
-    if fmt not in FORMATS:
-        raise ConfigError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    combined = ParseResult()
-    for path in paths:
-        result = _PARSERS[fmt](_read_text(path), strict=strict)
-        combined.publications.extend(result.publications)
-        combined.skipped += result.skipped
-    return combined
-
-
 def _parse_years(value) -> tuple[int, int]:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         lo, hi = value
@@ -93,7 +82,7 @@ def _parse_years(value) -> tuple[int, int]:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    parsed = _parse_files(args.input, args.format, args.strict)
+    parsed, _ = read_inputs(args.input, args.format, args.strict)
     year_range = _parse_years(args.years) if args.years else None
     buckets = bucket_by_year(parsed.publications, year_range, prior_skipped=parsed.skipped)
     ordered = [p for year in buckets.years() for p in buckets.buckets[year]]
@@ -107,7 +96,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    parsed = _parse_files(args.input, args.format, args.strict)
+    parsed, _ = read_inputs(args.input, args.format, args.strict)
     pubs = parsed.publications
     if args.year is not None:
         pubs = [p for p in pubs if p.year == args.year]
@@ -154,11 +143,15 @@ def _leaf_key(leaf) -> str:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
+    if args.k is not None and args.cut_height is not None:
+        raise ConfigError("--k and --cut-height are mutually exclusive")
+    check_cut(args.k, args.cut_height)
     rows = []
     for path in args.attributes:
         rows.extend(attributes_from_csv(_read_text(path)))
     if not rows:
         raise InputError("no attribute rows to cluster")
+    check_cut(args.k, None, n_leaves=len(rows))
     ids = [(r["year"], r["community_id"]) for r in rows]
     seen: set[tuple[int, int]] = set()
     for leaf in ids:
@@ -169,12 +162,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     dend = hcluster(vectors, ids=ids, linkage=args.linkage, normalize=args.normalize)
     payload = dend.to_json_dict()
     if args.k is not None or args.cut_height is not None:
-        if args.k is not None and args.cut_height is not None:
-            raise ConfigError("--k and --cut-height are mutually exclusive")
-        try:
-            assignment = cut(dend, k=args.k, height=args.cut_height)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        assignment = cut(dend, k=args.k, height=args.cut_height)
         payload["cut"] = {
             "k": args.k,
             "height": args.cut_height,
@@ -269,10 +257,25 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
-_CONFIG_KEYS = {
-    "input", "format", "years", "min_support", "min_confidence", "min_lift",
-    "sample", "seed", "linkage", "normalize", "identity", "jaccard",
-    "strict", "jobs", "out_dir",
+_NUMBER = (int, float)
+
+# Every config file key with the JSON types it accepts and their description;
+# "years" is checked by _parse_years, which also takes "MIN:MAX" strings.
+_CONFIG_TYPES = {
+    "input": (list, "a list of paths"),
+    "format": (str, "a string"),
+    "years": (object, "a year range"),
+    "min_support": (_NUMBER, "a number"),
+    "min_confidence": (_NUMBER, "a number"),
+    "min_lift": (_NUMBER, "a number"),
+    "sample": (_NUMBER, "a number"),
+    "seed": (int, "an integer"),
+    "linkage": (str, "a string"),
+    "normalize": (bool, "true or false"),
+    "identity": (str, "a string"),
+    "jaccard": (_NUMBER, "a number"),
+    "strict": (bool, "true or false"),
+    "out_dir": (str, "a string"),
 }
 
 
@@ -285,9 +288,17 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    unknown = sorted(set(data) - _CONFIG_TYPES.keys())
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
+    for key, value in data.items():
+        types, expected = _CONFIG_TYPES[key]
+        # JSON true/false load as bool, a subclass of int: only bool keys take them
+        ok = isinstance(value, types) and isinstance(value, bool) == (types is bool)
+        if ok and key == "input":
+            ok = all(isinstance(p, str) for p in value)
+        if not ok:
+            raise ConfigError(f"config {path}: {key!r} must be {expected}, got {value!r}")
     return data
 
 
@@ -320,7 +331,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         jaccard=pick(args.jaccard, "jaccard", DEFAULT_JACCARD),
         out_dir=pick(args.out_dir, "out_dir", "out"),
         strict=pick(True if args.strict else None, "strict", False),
-        jobs=pick(args.jobs, "jobs", 1),
     )
     manifest = run_pipeline(cfg)
     totals = manifest.totals
@@ -440,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", choices=IDENTITY_MODES)
     p.add_argument("--jaccard", type=float)
     p.add_argument("--strict", action="store_true", default=None)
-    p.add_argument("--jobs", type=int, help="parallel year workers")
     p.add_argument("--out-dir", metavar="DIR", help="artifact directory (default ./out)")
     p.set_defaults(func=_cmd_pipeline)
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from ._util import fmt12, round12
 from .decompose import AttributeVector
+from .errors import ConfigError
 
 LINKAGES = ("single", "complete", "average")
 
@@ -80,14 +81,6 @@ def _as_tuple(v: AttributeVector | Sequence[float]) -> tuple[float, ...]:
     if isinstance(v, AttributeVector):
         return tuple(float(x) for x in v.as_tuple())
     return tuple(float(x) for x in v)
-
-
-def distance(u: AttributeVector | Sequence[float], v: AttributeVector | Sequence[float]) -> float:
-    """Euclidean distance between two attribute vectors."""
-    a, b = _as_tuple(u), _as_tuple(v)
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
 def _minmax_scale(rows: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
@@ -252,6 +245,20 @@ def _leaf_groups(d: Dendrogram, n_merges: int) -> list[list[int]]:
     return list(clusters.values())
 
 
+def check_cut(k: int | None, height: float | None, n_leaves: int | None = None) -> None:
+    """Raise ConfigError unless ``k`` lies in [1, n_leaves] and ``height`` is
+    finite and non-negative; an argument given as None is not checked."""
+    if k is not None and k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if k is not None and n_leaves is not None and k > n_leaves:
+        raise ConfigError(f"k must be in [1, {n_leaves}], got {k}")
+    if height is not None:
+        if not math.isfinite(height):
+            raise ConfigError(f"height must be finite, got {height}")
+        if height < 0:
+            raise ConfigError(f"height must be non-negative, got {height}")
+
+
 def cut(
     d: Dendrogram,
     k: int | None = None,
@@ -266,16 +273,8 @@ def cut(
     """
     if (k is None) == (height is None):
         raise ValueError("cut needs exactly one of k or height")
-    if k is not None:
-        if not 1 <= k <= d.n_leaves:
-            raise ValueError(f"k must be in [1, {d.n_leaves}], got {k}")
-        n_merges = d.n_leaves - k
-    else:
-        if not math.isfinite(height):
-            raise ValueError(f"height must be finite, got {height}")
-        if height < 0:
-            raise ValueError(f"height must be non-negative, got {height}")
-        n_merges = bisect_right(d.heights(), height)
+    check_cut(k, height, d.n_leaves)
+    n_merges = d.n_leaves - k if k is not None else bisect_right(d.heights(), height)
 
     assignment: dict[Hashable, Hashable] = {}
     for group in _leaf_groups(d, n_merges):

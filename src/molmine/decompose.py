@@ -21,11 +21,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Literal, Sequence
 
 from .errors import InputError
-from .graph import AssocGraph, GraphError
+from .graph import AssocGraph
 
 Arity = Literal["2-ary", "n-ary"]
 
@@ -113,32 +112,6 @@ class Community:
 
     def double_bond_pairs(self) -> list[tuple[str, str]]:
         return sorted(p for p, d in self._bonds.items() if d == 2)
-
-
-def star_neighbors(g: AssocGraph, a: str) -> frozenset[str]:
-    """All nodes sharing a single bond with ``a`` (its star, if any)."""
-    if a not in g.nodes:
-        raise GraphError(f"unknown node {a!r}")
-    return frozenset(b for b in (g.successors(a) | g.predecessors(a)) if g.single_bond(a, b))
-
-
-def bridge_neighbors(g: AssocGraph, a: str) -> frozenset[str]:
-    """All nodes sharing a double bond (bridge) with ``a``."""
-    if a not in g.nodes:
-        raise GraphError(f"unknown node {a!r}")
-    return frozenset(b for b in g.successors(a) if b in g.predecessors(a))
-
-
-def diamond_pairs(g: AssocGraph, a: str) -> frozenset[frozenset[str]]:
-    """All unordered pairs {b, c} forming a diamond with ``a``.
-
-    A diamond is a triangle of bridges: a-b, b-c and c-a all double bonds.
-    Each pair is reported once.
-    """
-    partners = sorted(bridge_neighbors(g, a))
-    return frozenset(
-        frozenset((b, c)) for b, c in combinations(partners, 2) if g.double_bond(b, c)
-    )
 
 
 def communities(g: AssocGraph) -> list[Community]:
@@ -280,17 +253,6 @@ def classify_motif(c: Community) -> MotifClass:
     return MotifClass.COMPLEX
 
 
-def star_arity(c: Community, center: str) -> Arity:
-    """2-ary when no two neighbors of ``center`` share a bond, else n-ary."""
-    if center not in c.members:
-        raise GraphError(f"unknown center {center!r}")
-    neighbors = sorted(c._bond_adj[center])
-    for u, v in combinations(neighbors, 2):
-        if v in c._bond_adj[u]:
-            return "n-ary"
-    return "2-ary"
-
-
 def community_arity(c: Community) -> Arity:
     """Arity of the whole community under the star rule applied everywhere.
 
@@ -304,6 +266,11 @@ def community_arity(c: Community) -> Arity:
 
 
 ATTRIBUTES_CSV_HEADER = "year,community_id,motif,arity,SB,BR,DI,NU,RE,TR"
+
+# Sextuple entries are counts, and clustering computes in float64, which
+# holds integers exactly only up to 2**53: larger counts would collapse into
+# one another or overflow the distance matrix.
+_MAX_COUNT = 2**53
 
 
 def attributes_csv(comms: Sequence[Community]) -> str:
@@ -335,17 +302,19 @@ def attributes_from_csv(text: str) -> list[dict]:
         if len(row) != len(expected):
             raise InputError(f"malformed attributes CSV row at line {reader.line_num}")
         try:
-            rows.append(
-                {
-                    "year": int(row[0]),
-                    "community_id": int(row[1]),
-                    "motif": row[2],
-                    "arity": row[3],
-                    **{name: int(value) for name, value in zip(VECTOR_FIELDS, row[4:])},
-                }
-            )
+            vector = {name: int(value) for name, value in zip(VECTOR_FIELDS, row[4:])}
+            year, community_id = int(row[0]), int(row[1])
         except ValueError as exc:
             raise InputError(f"malformed attributes CSV row at line {reader.line_num}") from exc
+        for name, value in vector.items():
+            if abs(value) > _MAX_COUNT:
+                raise InputError(
+                    f"attributes CSV row at line {reader.line_num}: "
+                    f"{name} exceeds 2**53 in magnitude"
+                )
+        rows.append(
+            {"year": year, "community_id": community_id, "motif": row[2], "arity": row[3], **vector}
+        )
     return rows
 
 

@@ -1,18 +1,13 @@
 """Per-year directed association graph of author nuclei.
 
 Nodes are author identifiers; a directed edge (A, B) exists exactly when the
-rule A => B was mined. The graph is immutable after construction, so it can
-be shared freely across concurrent readers. Bond predicates:
-
-* single bond: exactly one of the two directions exists (exclusive or)
-* double bond ("bridge"): both directions exist
-* trigger / reactor: at least one outgoing / incoming edge
+rule A => B was mined. The graph is immutable after construction. Bonds,
+roles and motifs are read per community (see :mod:`molmine.decompose`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -20,7 +15,7 @@ from .rules import Rule
 
 
 class GraphError(ValueError):
-    """Violation of a graph construction or lookup contract."""
+    """Violation of a graph construction contract."""
 
 
 @dataclass(frozen=True)
@@ -47,62 +42,6 @@ class AssocGraph:
                 raise GraphError(f"self-loop on {a!r} not allowed")
         nodes = frozenset(extra_nodes) | {a for a, _ in edge_set} | {b for _, b in edge_set}
         return cls(year=year, nodes=nodes, edges=edge_set)
-
-    @cached_property
-    def _out(self) -> dict[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for a, b in self.edges:
-            adj[a].add(b)
-        return {n: frozenset(s) for n, s in adj.items()}
-
-    @cached_property
-    def _in(self) -> dict[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for a, b in self.edges:
-            adj[b].add(a)
-        return {n: frozenset(s) for n, s in adj.items()}
-
-    def _check(self, *names: str) -> None:
-        for n in names:
-            if n not in self.nodes:
-                raise GraphError(f"unknown node {n!r}")
-
-    def successors(self, a: str) -> frozenset[str]:
-        self._check(a)
-        return self._out[a]
-
-    def predecessors(self, a: str) -> frozenset[str]:
-        self._check(a)
-        return self._in[a]
-
-    def is_trigger(self, a: str) -> bool:
-        """True iff ``a`` has at least one outgoing edge (influences someone)."""
-        self._check(a)
-        return bool(self._out[a])
-
-    def is_reactor(self, a: str) -> bool:
-        """True iff ``a`` has at least one incoming edge (is influenced)."""
-        self._check(a)
-        return bool(self._in[a])
-
-    def is_isolated(self, a: str) -> bool:
-        """True iff ``a`` shares no bonds at all."""
-        self._check(a)
-        return not self._out[a] and not self._in[a]
-
-    def single_bond(self, a: str, b: str) -> bool:
-        """True iff exactly one of the directions a->b, b->a is an edge."""
-        if a == b:
-            raise GraphError(f"single_bond needs two distinct nodes, got {a!r} twice")
-        self._check(a, b)
-        return ((a, b) in self.edges) != ((b, a) in self.edges)
-
-    def double_bond(self, a: str, b: str) -> bool:
-        """True iff both directions are edges (the pair forms a bridge)."""
-        if a == b:
-            raise GraphError(f"double_bond needs two distinct nodes, got {a!r} twice")
-        self._check(a, b)
-        return (a, b) in self.edges and (b, a) in self.edges
 
 
 def build_graph(rules: Sequence[Rule], year: int) -> AssocGraph:

@@ -6,17 +6,15 @@ For every year in the analysis range the pipeline emits ``rules_<year>.csv``,
 ``timelines.json``, ``noise.csv`` and ``manifest.json``.
 
 Determinism contract: identical inputs and analysis config produce
-byte-identical artifacts across runs and across parallelism levels. To keep
-that comparable in practice, the manifest echoes only analysis parameters
-(not ``out_dir`` or ``jobs``), and its timestamp is the single field allowed
-to vary between reruns.
+byte-identical artifacts across runs. To keep that comparable in practice,
+the manifest echoes only analysis parameters (not ``out_dir``), and its
+timestamp is the single field allowed to vary between reruns.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,7 +40,7 @@ from .ingest import (
     parse_dblp_xml,
     parse_jsonl,
 )
-from .rules import Rule, Thresholds, mine_rules, rules_to_csv, sample_transactions
+from .rules import Thresholds, mine_rules, rules_to_csv, sample_transactions
 from .temporal import (
     DEFAULT_JACCARD,
     IDENTITY_MODES,
@@ -73,7 +71,6 @@ class PipelineConfig:
     jaccard: float = DEFAULT_JACCARD
     out_dir: str = "out"
     strict: bool = False
-    jobs: int = 1
 
     def validate(self) -> None:
         if not self.inputs:
@@ -98,11 +95,9 @@ class PipelineConfig:
             )
         if not 0.0 <= self.jaccard <= 1.0:
             raise ConfigError(f"jaccard tau must be in [0, 1], got {self.jaccard}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
     def echo(self) -> dict:
-        """Analysis parameters for the manifest (execution knobs excluded)."""
+        """Analysis parameters for the manifest (the output directory excluded)."""
         return {
             "inputs": list(self.inputs),
             "format": self.fmt,
@@ -147,17 +142,21 @@ class RunManifest:
 class _YearResult:
     year: int
     n_transactions: int
-    rules: tuple[Rule, ...]
+    n_rules: int
     comms: tuple[Community, ...]
     noise: float
 
 
-def _read_inputs(cfg: PipelineConfig) -> tuple[ParseResult, str]:
-    """Parse all inputs; returns the combined result and the content hash."""
-    parser = _PARSERS[cfg.fmt]
+def read_inputs(
+    paths: Sequence[str], fmt: str, strict: bool = False
+) -> tuple[ParseResult, str]:
+    """Parse all inputs in order; returns the combined result and the SHA-256
+    of their concatenated bytes."""
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     combined = ParseResult()
     hasher = hashlib.sha256()
-    for path in cfg.inputs:
+    for path in paths:
         try:
             data = Path(path).read_bytes()
         except OSError as exc:
@@ -167,7 +166,7 @@ def _read_inputs(cfg: PipelineConfig) -> tuple[ParseResult, str]:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InputError(f"input {path} is not valid UTF-8: {exc}") from exc
-        result = parser(text, strict=cfg.strict)
+        result = _PARSERS[fmt](text, strict=strict)
         combined.publications.extend(result.publications)
         combined.skipped += result.skipped
     return combined, hasher.hexdigest()
@@ -193,7 +192,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     except OSError as exc:
         raise InputError(f"cannot create output directory {out}: {exc}") from exc
 
-    parsed, input_hash = _read_inputs(cfg)
+    parsed, input_hash = read_inputs(cfg.inputs, cfg.fmt, cfg.strict)
     buckets = bucket_by_year(parsed.publications, cfg.year_range, prior_skipped=parsed.skipped)
     if cfg.year_range is not None:
         y0, y1 = cfg.year_range
@@ -219,16 +218,12 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             _write(out / f"attributes_{year}.csv", attributes_csv(comms))
             _write(out / f"snapshot_{year}.dot", to_dot(g, name=f"snapshot_{year}"))
             return _YearResult(
-                year, len(transactions), tuple(rules), tuple(comms), noise_fraction(comms)
+                year, len(transactions), len(rules), tuple(comms), noise_fraction(comms)
             )
         except ValueError as exc:
             raise type(exc)(f"year {year}: {exc}") from exc
 
-    if cfg.jobs > 1 and len(years) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            year_results = list(pool.map(do_year, years))
-    else:
-        year_results = [do_year(y) for y in years]
+    year_results = [do_year(y) for y in years]
 
     ids = [(r.year, c.id) for r in year_results for c in r.comms]
     vectors = [attribute_vector(c) for r in year_results for c in r.comms]
@@ -262,7 +257,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             {
                 "year": r.year,
                 "transactions": r.n_transactions,
-                "rules": len(r.rules),
+                "rules": r.n_rules,
                 "communities": len(r.comms),
                 "noise_fraction": round12(r.noise),
             }
@@ -271,7 +266,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
         totals={
             "publications": buckets.total_count,
             "skipped": buckets.skipped_count,
-            "rules": sum(len(r.rules) for r in year_results),
+            "rules": sum(r.n_rules for r in year_results),
             "communities": sum(len(r.comms) for r in year_results),
             "timelines": len(timelines),
         },

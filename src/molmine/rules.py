@@ -69,10 +69,6 @@ class Rule:
     lift: float
 
 
-def _pair_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
 def count_pairs(transactions: Iterable[Collection[str]]) -> PairCounts:
     """Count, per author and per unordered co-occurring pair, the number of
     transactions containing them."""
@@ -85,39 +81,6 @@ def count_pairs(transactions: Iterable[Collection[str]]) -> PairCounts:
         singles.update(authors)
         pairs.update(combinations(authors, 2))
     return PairCounts(n, singles, pairs)
-
-
-def support(pair: tuple[str, str], counts: PairCounts) -> float:
-    """Fraction of transactions containing both authors of the unordered pair."""
-    if counts.n_transactions == 0:
-        raise ValueError("support undefined for an empty transaction set")
-    return counts.pairs.get(_pair_key(*pair), 0) / counts.n_transactions
-
-
-def confidence(direction: tuple[str, str], counts: PairCounts) -> float:
-    """Conditional frequency of the consequent given the antecedent."""
-    ante, cons = direction
-    n_ante = counts.singles.get(ante, 0)
-    if n_ante == 0:
-        raise ValueError(f"antecedent {ante!r} never seen")
-    return counts.pairs.get(_pair_key(ante, cons), 0) / n_ante
-
-
-def lift(direction: tuple[str, str], counts: PairCounts) -> float:
-    """Confidence divided by the consequent base rate.
-
-    Computed as (pair * n) / (ante * cons) with a single rounding, which
-    makes the value exactly symmetric under swapping the two authors.
-    """
-    ante, cons = direction
-    n_ante = counts.singles.get(ante, 0)
-    n_cons = counts.singles.get(cons, 0)
-    if n_ante == 0:
-        raise ValueError(f"antecedent {ante!r} never seen")
-    if n_cons == 0:
-        raise ValueError(f"consequent {cons!r} never seen")
-    p = counts.pairs.get(_pair_key(ante, cons), 0)
-    return (p * counts.n_transactions) / (n_ante * n_cons)
 
 
 def mine_rules(

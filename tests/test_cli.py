@@ -3,6 +3,7 @@ import json
 import pytest
 
 from molmine.cli import main
+from molmine.corpus import generate_corpus
 from molmine.ingest import parse_jsonl
 from dot_grammar import edge_directions, parse_dot
 
@@ -260,6 +261,41 @@ class TestCluster:
         rc, _, err = run(capsys, "cluster", "--attributes", str(empty))
         assert rc == 1 and "no attribute rows" in err
 
+    @pytest.mark.parametrize("digits", [300, 400])
+    def test_huge_value_exits_1(self, attributes, tmp_path, capsys, digits):
+        # 300 digits overflow the distance matrix, 400 the float conversion
+        big = tmp_path / "big.csv"
+        big.write_text(
+            "year,community_id,motif,arity,SB,BR,DI,NU,RE,TR\n"
+            "1995,0,pair,2-ary,1,0,0,2,1,1\n"
+            f"1995,1,pair,2-ary,{'9' * digits},0,0,2,1,1\n"
+        )
+        rc, out, err = run(capsys, "cluster", "--attributes", str(attributes), str(big))
+        assert rc == 1 and "line 3" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "flags,readable",
+        [
+            (["--k", "2", "--cut-height", "1"], False),
+            (["--cut-height", "nan"], False),
+            (["--cut-height", "-1"], False),
+            (["--k", "0"], False),
+            (["--k", "4"], True),  # the fixture holds 3 rows
+        ],
+    )
+    def test_bad_cut_exits_2_before_clustering(
+        self, attributes, tmp_path, capsys, monkeypatch, flags, readable
+    ):
+        import molmine.cli as cli_mod
+
+        def no_hcluster(*args, **kwargs):
+            raise AssertionError("hcluster must not run")
+
+        monkeypatch.setattr(cli_mod, "hcluster", no_hcluster)
+        path = attributes if readable else tmp_path / "missing.csv"
+        rc, out, err = run(capsys, "cluster", "--attributes", str(path), *flags)
+        assert rc == 2 and err.startswith("config error:") and out == ""
+
 
 class TestTimeline:
     @pytest.fixture
@@ -411,6 +447,34 @@ class TestPipeline:
         rc, _, err = run(capsys, "pipeline")
         assert rc == 2 and "needs --input" in err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("min_support", "0.1"),
+            ("min_confidence", None),
+            ("min_lift", True),
+            ("sample", "0.5"),
+            ("jaccard", None),
+            ("input", [1]),
+            ("input", "c.jsonl"),
+            ("seed", "x"),
+            ("seed", 1.5),
+            ("normalize", "no"),
+            ("strict", 1),
+            ("format", ["jsonl"]),
+            ("out_dir", 5),
+            ("jobs", 2),  # retired: an unknown key
+        ],
+    )
+    def test_wrong_config_type_exits_2(self, corpus, tmp_path, capsys, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"input": [str(corpus)], key: value}))
+        rc, _, err = run(
+            capsys, "pipeline", "--config", str(config), "--out-dir", str(tmp_path / "out")
+        )
+        assert rc == 2 and err.startswith("config error:") and key in err
+        assert not (tmp_path / "out").exists()
+
     def test_flags_only(self, corpus, tmp_path, capsys):
         out_dir = tmp_path / "out"
         rc, _, _ = run(
@@ -419,6 +483,49 @@ class TestPipeline:
         assert rc == 0
         for name in ("manifest.json", "dendrogram.json", "timelines.json", "noise.csv"):
             assert (out_dir / name).is_file()
+
+
+class TestStagedRunMatchesPipeline:
+    """The stage subcommands, run one by one, write what ``pipeline`` writes."""
+
+    @pytest.mark.parametrize(
+        "sampling,identity",
+        [([], []), (["--sample", "0.8", "--seed", "3"], ["--identity", "membership"])],
+        ids=["defaults", "sampled-membership"],
+    )
+    def test_artifacts_equal(self, tmp_path, capsys, sampling, identity):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(generate_corpus(60, 600, (2001, 2004), seed=7), encoding="utf-8")
+        whole, staged = tmp_path / "pipeline", tmp_path / "staged"
+        staged.mkdir()
+        normalized = str(tmp_path / "normalized.jsonl")
+
+        assert main(["pipeline", "--input", str(corpus), *sampling, *identity,
+                     "--out-dir", str(whole)]) == 0
+        assert main(["ingest", "--input", str(corpus), "--out", normalized]) == 0
+        years = range(2001, 2005)
+        for y in years:
+            rules = str(staged / f"rules_{y}.csv")
+            assert main(["mine", "--input", normalized, "--year", str(y), *sampling,
+                         "--out", rules]) == 0
+            assert main(["decompose", "--rules", rules, "--year", str(y),
+                         "--out-attributes", str(staged / f"attributes_{y}.csv"),
+                         "--out-communities", str(staged / f"communities_{y}.json")]) == 0
+            assert main(["export-dot", "--rules", rules, "--name", f"snapshot_{y}",
+                         "--out", str(staged / f"snapshot_{y}.dot")]) == 0
+        assert main(["timeline", "--communities",
+                     *(str(staged / f"communities_{y}.json") for y in years), *identity,
+                     "--out", str(staged / "timelines.json"),
+                     "--out-noise", str(staged / "noise.csv")]) == 0
+        assert main(["cluster", "--attributes",
+                     *(str(staged / f"attributes_{y}.csv") for y in years),
+                     "--out", str(staged / "dendrogram.json")]) == 0
+        capsys.readouterr()
+
+        names = sorted(p.name for p in whole.iterdir() if p.name != "manifest.json")
+        assert len(names) == 4 * 4 + 3
+        for name in names:
+            assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
 
 
 class TestGenCorpus:

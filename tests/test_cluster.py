@@ -4,7 +4,7 @@ import random
 import pytest
 
 from molmine._util import fmt12
-from molmine.cluster import Dendrogram, _newick_label, cut, distance, hcluster, newick
+from molmine.cluster import Dendrogram, _newick_label, cut, hcluster, newick
 from molmine.decompose import AttributeVector
 from oracles import oracle_hcluster, primitive_hcluster
 
@@ -18,14 +18,16 @@ def random_vectors(rng, n, dim=6, hi=3):
 
 class TestDistance:
     def test_star_rows_distance(self):
-        assert abs(distance(STAR_IN, STAR_OUT) - math.sqrt(72)) < 1e-9
+        ((_, _, height),) = hcluster([STAR_IN, STAR_OUT]).merges
+        assert abs(height - math.sqrt(72)) < 1e-9
 
     def test_accepts_attribute_vectors(self):
-        assert distance(AttributeVector(*STAR_IN), AttributeVector(*STAR_IN)) == 0.0
+        d = hcluster([AttributeVector(*STAR_IN), AttributeVector(*STAR_IN)])
+        assert d.merges == ((0, 1, 0.0),)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            distance((1, 2), (1, 2, 3))
+            hcluster([(1, 2), (1, 2, 3)])
 
 
 class TestHcluster:

@@ -11,18 +11,14 @@ from molmine.decompose import (
     attribute_vector,
     attributes_csv,
     attributes_from_csv,
-    bridge_neighbors,
     classify_motif,
     communities,
     communities_json_dict,
     community_arity,
-    diamond_pairs,
     roles,
-    star_arity,
-    star_neighbors,
 )
 from molmine.errors import InputError
-from molmine.graph import AssocGraph, GraphError, parse_edge_list
+from molmine.graph import AssocGraph, parse_edge_list
 from oracles import oracle_components, oracle_vector
 
 
@@ -180,26 +176,6 @@ class TestAttributeVector:
         assert vec.as_dict() == {"SB": 1, "BR": 2, "DI": 3, "NU": 4, "RE": 5, "TR": 6}
 
 
-class TestNeighborhoods:
-    def test_star_and_bridge_neighbors(self):
-        g = parse_edge_list("A -> B\nB -> A\nA -> C\nD -> A\n")
-        assert bridge_neighbors(g, "A") == frozenset({"B"})
-        assert star_neighbors(g, "A") == frozenset({"C", "D"})
-        assert star_neighbors(g, "B") == frozenset()
-
-    def test_diamond_pairs(self):
-        g = parse_edge_list(
-            "A -> B\nB -> A\nA -> C\nC -> A\nB -> C\nC -> B\nA -> D\nD -> A\n"
-        )
-        assert diamond_pairs(g, "A") == frozenset({frozenset({"B", "C"})})
-        assert diamond_pairs(g, "D") == frozenset()
-
-    def test_unknown_node(self):
-        g = parse_edge_list("A -> B\n")
-        with pytest.raises(GraphError):
-            star_neighbors(g, "Q")
-
-
 class TestRoles:
     def test_role_partition(self):
         c = community_of("A -> B\nB -> C\nC -> B\n")
@@ -255,17 +231,12 @@ class TestMotifs:
 class TestArity:
     def test_star_arity_2ary(self):
         c = community_of("A -> C\nB -> C\n")
-        assert star_arity(c, "C") == "2-ary"
+        assert community_arity(c) == "2-ary"
 
     def test_star_arity_nary(self):
         # center with two bonded neighbors
         c = community_of("A -> C\nB -> C\nA -> B\n")
-        assert star_arity(c, "C") == "n-ary"
-
-    def test_star_arity_unknown_center(self):
-        c = community_of("A -> C\nB -> C\n")
-        with pytest.raises(GraphError):
-            star_arity(c, "Q")
+        assert community_arity(c) == "n-ary"
 
     def test_community_arity(self):
         assert community_arity(community_of("A -> B\nB -> C\n")) == "2-ary"
@@ -305,6 +276,13 @@ class TestArtifacts:
     def test_attributes_csv_bad_header(self):
         with pytest.raises(InputError):
             attributes_from_csv("nope,nope\n1,2\n")
+
+    def test_attributes_csv_counts_bounded_by_2_pow_53(self):
+        row = ATTRIBUTES_CSV_HEADER + "\n2000,0,pair,2-ary,{},0,0,2,1,1\n"
+        assert attributes_from_csv(row.format(2**53))[0]["SB"] == 2**53
+        for value in (2**53 + 1, -(2**53) - 1):
+            with pytest.raises(InputError, match=r"line 2: SB exceeds 2\*\*53"):
+                attributes_from_csv(row.format(value))
 
     def test_communities_json_shape(self):
         g = parse_edge_list("B -> A\n", year=2000)

@@ -1,5 +1,6 @@
 import pytest
 
+from molmine.decompose import Role, communities, roles
 from molmine.errors import InputError
 from molmine.graph import AssocGraph, GraphError, build_graph, parse_edge_list
 from molmine.rules import Rule
@@ -18,7 +19,7 @@ class TestConstruction:
 
     def test_extra_nodes(self):
         g = AssocGraph.from_edges([("A", "B")], extra_nodes=["Z"])
-        assert "Z" in g.nodes and g.is_isolated("Z")
+        assert "Z" in g.nodes and all("Z" not in e for e in g.edges)
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError):
@@ -30,7 +31,7 @@ class TestConstruction:
 
     def test_build_graph(self):
         g = build_graph([rule("A", "B"), rule("B", "A")], year=2001)
-        assert g.double_bond("A", "B")
+        assert g.year == 2001 and g.edges == frozenset({("A", "B"), ("B", "A")})
 
 
 class TestPredicates:
@@ -42,34 +43,16 @@ class TestPredicates:
         )
 
     def test_bonds(self, g):
-        assert g.double_bond("A", "B") and g.double_bond("B", "A")
-        assert not g.single_bond("A", "B")  # exclusive or: both directions is not single
-        assert g.single_bond("B", "C") and g.single_bond("C", "B")
-        assert not g.single_bond("A", "C") and not g.double_bond("A", "C")
+        # bonds are read per community: both directions make a double bond,
+        # exactly one a single bond (exclusive or), none no bond
+        (c,) = communities(g)
+        assert c.double_bond_pairs() == [("A", "B")]
+        assert c.single_bond_pairs() == [("B", "C")]
 
     def test_roles(self, g):
-        assert g.is_trigger("A") and g.is_reactor("A")
-        assert g.is_trigger("B") and g.is_reactor("B")
-        assert not g.is_trigger("C") and g.is_reactor("C")
-        assert g.is_isolated("D")
-        assert not g.is_isolated("A")
-
-    def test_adjacency(self, g):
-        assert g.successors("B") == frozenset({"A", "C"})
-        assert g.predecessors("B") == frozenset({"A"})
-        assert g.successors("D") == frozenset()
-
-    def test_unknown_node_rejected(self, g):
-        with pytest.raises(GraphError):
-            g.successors("Q")
-        with pytest.raises(GraphError):
-            g.single_bond("A", "Q")
-
-    def test_same_node_bond_rejected(self, g):
-        with pytest.raises(GraphError):
-            g.single_bond("A", "A")
-        with pytest.raises(GraphError):
-            g.double_bond("B", "B")
+        (c,) = communities(g)
+        assert roles(c) == {"A": Role.BOTH, "B": Role.BOTH, "C": Role.REACTOR_ONLY}
+        assert "D" not in c.members  # isolated: no bond, no community
 
 
 class TestEdgeList:

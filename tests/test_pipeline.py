@@ -100,13 +100,11 @@ class TestArtifacts:
 
 
 class TestDeterminism:
-    def test_identical_bytes_across_runs_and_jobs(self, corpus_path, tmp_path):
+    def test_identical_bytes_across_runs(self, corpus_path, tmp_path):
         snaps = []
-        for run_idx, jobs in ((0, 1), (1, 1), (2, 4)):
+        for run_idx in range(3):
             out_dir = tmp_path / f"out{run_idx}"
-            cfg = PipelineConfig(
-                inputs=(str(corpus_path),), out_dir=str(out_dir), jobs=jobs
-            )
+            cfg = PipelineConfig(inputs=(str(corpus_path),), out_dir=str(out_dir))
             run_pipeline(cfg)
             snaps.append(snapshot(out_dir))
         base = snaps[0]
@@ -119,9 +117,7 @@ class TestDeterminism:
                     assert other[name] == base[name], f"{name} differs"
 
     def test_manifest_excludes_execution_knobs(self, corpus_path, tmp_path):
-        cfg = PipelineConfig(
-            inputs=(str(corpus_path),), out_dir=str(tmp_path / "out"), jobs=4
-        )
+        cfg = PipelineConfig(inputs=(str(corpus_path),), out_dir=str(tmp_path / "out"))
         manifest = run_pipeline(cfg)
         assert "out_dir" not in manifest.config
         assert "jobs" not in manifest.config
@@ -196,8 +192,6 @@ class TestEmptyAndErrors:
             run_pipeline(
                 PipelineConfig(inputs=(str(corpus_path),), year_range=(2003, 2001), out_dir=out)
             )
-        with pytest.raises(ConfigError):
-            run_pipeline(PipelineConfig(inputs=(str(corpus_path),), jobs=0, out_dir=out))
         with pytest.raises(ConfigError):
             run_pipeline(
                 PipelineConfig(
