@@ -15,16 +15,7 @@ every community gets a motif class — pair, star, arrow, triangle, diamond,
 or complex — and every member a role.
 """
 
-from molmine import (
-    attribute_vector,
-    attributes_csv,
-    classify_motif,
-    communities,
-    community_arity,
-    parse_edge_list,
-    roles,
-    to_dot,
-)
+from molmine import attributes_csv, communities, parse_edge_list, roles, to_dot
 
 SHOWCASE = """\
 # a 7-leaf in-star: every leaf triggers the center
@@ -59,10 +50,10 @@ def main() -> None:
     print(f"{len(graph.nodes)} nuclei, {len(graph.edges)} edges, {len(comms)} communities\n")
 
     for comm in comms:
-        vector = attribute_vector(comm)
+        vector = comm.vector
         print(f"community {comm.id}: members {sorted(comm.members)}")
         print(f"  vector {vector.as_dict()}")
-        print(f"  motif  {classify_motif(comm).value} ({community_arity(comm)})")
+        print(f"  motif  {comm.motif.value} ({comm.arity})")
         print(f"  roles  {{{', '.join(f'{m}: {r.value}' for m, r in sorted(roles(comm).items()))}}}")
         # the bond identity every community satisfies:
         assert vector.single_bonds + 2 * vector.bridges == len(comm.edges)

@@ -11,13 +11,10 @@ from .decompose import (
     Community,
     MotifClass,
     Role,
-    attribute_vector,
     attributes_csv,
     attributes_from_csv,
-    classify_motif,
     communities,
     communities_json_dict,
-    community_arity,
     roles,
 )
 from .dot import to_dot
@@ -78,16 +75,13 @@ __all__ = [
     "Signature",
     "Thresholds",
     "YearBuckets",
-    "attribute_vector",
     "attributes_csv",
     "attributes_from_csv",
     "bucket_by_year",
     "build_graph",
     "classify_lifecycle",
-    "classify_motif",
     "communities",
     "communities_json_dict",
-    "community_arity",
     "count_pairs",
     "cut",
     "generate_corpus",

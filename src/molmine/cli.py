@@ -28,7 +28,7 @@ from .decompose import (
 )
 from .dot import to_dot
 from .errors import ConfigError, InputError
-from .graph import GraphError, build_graph, parse_edge_list
+from .graph import AssocGraph, GraphError, build_graph, parse_edge_list
 from .ingest import bucket_by_year, write_jsonl
 from .pipeline import FORMATS, PipelineConfig, read_inputs, run_pipeline
 from .rules import Thresholds, mine_rules, rules_from_csv, rules_to_csv, sample_transactions
@@ -61,12 +61,16 @@ def _write_output(text: str, out: str | None) -> None:
         raise InputError(f"cannot write {out}: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_years(value) -> tuple[int, int]:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         lo, hi = value
-        if isinstance(lo, int) and isinstance(hi, int):
+        if _is_int(lo) and _is_int(hi):
             return (lo, hi)
-        raise ConfigError(f"year range must hold two integers, got {value!r}")
+        raise ConfigError(f"years must hold two integers, got {value!r}")
     if isinstance(value, str):
         parts = value.split(":")
         if len(parts) == 2:
@@ -74,8 +78,8 @@ def _parse_years(value) -> tuple[int, int]:
                 return (int(parts[0]), int(parts[1]))
             except ValueError:
                 pass
-        raise ConfigError(f"year range must look like <min>:<max>, got {value!r}")
-    raise ConfigError(f"cannot interpret year range {value!r}")
+        raise ConfigError(f"years must look like <min>:<max>, got {value!r}")
+    raise ConfigError(f"cannot interpret years {value!r}")
 
 
 # ---------------------------------------------------------------- subcommands
@@ -176,10 +180,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _communities_from_json(text: str, path: str):
     def bad(reason: str) -> InputError:
         return InputError(f"malformed communities JSON in {path}: {reason}")
@@ -206,7 +206,6 @@ def _communities_from_json(text: str, path: str):
             raise bad(f"community {cid}: members must be a list of strings")
         if not isinstance(edges, list):
             raise bad(f"community {cid}: edges must be a list")
-        member_set = frozenset(members)
         for e in edges:
             if not (
                 isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)
@@ -214,16 +213,14 @@ def _communities_from_json(text: str, path: str):
                 raise bad(f"community {cid}: edge {e!r} is not a pair of strings")
             if e[0] == e[1]:
                 raise bad(f"community {cid}: self-loop on {e[0]!r}")
-            if not member_set.issuperset(e):
-                raise bad(f"community {cid}: edge {e[0]} -> {e[1]} leaves the member set")
-        comms.append(
-            Community(
-                id=cid,
-                members=member_set,
-                edges=frozenset((a, b) for a, b in edges),
-                year=year,
-            )
-        )
+        comms.append(Community(cid, frozenset(members), frozenset(map(tuple, edges)), year))
+    # The file must list exactly the communities its edges decompose into;
+    # each of those holds an edge of the file, so none can be missing from
+    # a list that matches them in order.
+    expected = communities(AssocGraph.from_edges((e for c in comms for e in c.edges), year))
+    for i, c in enumerate(comms):
+        if expected[i : i + 1] != [c]:
+            raise bad(f"community {c.id} differs from the decomposition of the file's edges")
     return year, comms
 
 

@@ -10,7 +10,13 @@ where SB counts unordered pairs joined by a single bond, BR pairs joined by a
 double bond (bridges), DI triangles of the bridge-only undirected graph
 (diamonds), NU the nuclei, and RE / TR the members with at least one incoming
 / outgoing edge. Communities also get a motif class (pair, star, arrow,
-triangle, diamond, ...) and per-member roles.
+triangle, diamond, ...), an arity and per-member roles.
+
+The description is computed once per community: ``Community.vector``,
+``Community.motif`` and ``Community.arity`` come from one walk over the
+community's edges, whose bonds, adjacency and endpoint sets are dropped when
+the walk ends; only the three results stay cached on the community. Roles
+are computed on demand by :func:`roles`.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .errors import InputError
 from .graph import AssocGraph
@@ -82,7 +88,8 @@ class Community:
     """One weakly connected component of an association graph.
 
     ``id`` is the component's rank when components are sorted by their least
-    member; ``edges`` is the induced directed edge set.
+    member; ``edges`` is the induced directed edge set. ``vector``, ``motif``
+    and ``arity`` are computed together on first access and then cached.
     """
 
     id: int
@@ -91,27 +98,20 @@ class Community:
     year: int = 0
 
     @cached_property
-    def _bonds(self) -> dict[tuple[str, str], int]:
-        """Unordered bonded pair -> number of directions present (1 or 2)."""
-        dirs: dict[tuple[str, str], int] = defaultdict(int)
-        for a, b in self.edges:
-            dirs[(a, b) if a <= b else (b, a)] += 1
-        return dict(dirs)
+    def _description(self) -> tuple[AttributeVector, MotifClass, Arity]:
+        return _describe(self)
 
-    @cached_property
-    def _bond_adj(self) -> dict[str, set[str]]:
-        """Undirected adjacency over all bonds (single or double)."""
-        adj: dict[str, set[str]] = {m: set() for m in self.members}
-        for a, b in self._bonds:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+    @property
+    def vector(self) -> AttributeVector:
+        return self._description[0]
 
-    def single_bond_pairs(self) -> list[tuple[str, str]]:
-        return sorted(p for p, d in self._bonds.items() if d == 1)
+    @property
+    def motif(self) -> MotifClass:
+        return self._description[1]
 
-    def double_bond_pairs(self) -> list[tuple[str, str]]:
-        return sorted(p for p, d in self._bonds.items() if d == 2)
+    @property
+    def arity(self) -> Arity:
+        return self._description[2]
 
 
 def communities(g: AssocGraph) -> list[Community]:
@@ -154,32 +154,76 @@ def communities(g: AssocGraph) -> list[Community]:
     ]
 
 
-def _bridge_triangles(pairs: Iterable[tuple[str, str]]) -> int:
-    """Triangle count of the undirected graph given by the bridge pairs."""
-    adj: dict[str, set[str]] = defaultdict(set)
-    for a, b in pairs:
+def _describe(c: Community) -> tuple[AttributeVector, MotifClass, Arity]:
+    """Sextuple, motif and arity of ``c`` from one walk over its edges."""
+    bonds: dict[tuple[str, str], int] = {}  # unordered pair -> directions (1 or 2)
+    adj: dict[str, set[str]] = defaultdict(set)  # undirected, over all bonds
+    tails: set[str] = set()
+    heads: set[str] = set()
+    for a, b in c.edges:
+        pair = (a, b) if a <= b else (b, a)
+        bonds[pair] = bonds.get(pair, 0) + 1
         adj[a].add(b)
         adj[b].add(a)
-    count = 0
-    for a, b in pairs:
-        # each triangle counted once: third node strictly above both endpoints
-        hi = max(a, b)
-        count += sum(1 for c in adj[a] & adj[b] if c > hi)
-    return count
-
-
-def attribute_vector(c: Community) -> AttributeVector:
-    doubles = c.double_bond_pairs()
-    reactors = {b for _, b in c.edges}
-    triggers = {a for a, _ in c.edges}
-    return AttributeVector(
-        single_bonds=len(c.single_bond_pairs()),
+        tails.add(a)
+        heads.add(b)
+    doubles = [p for p, d in bonds.items() if d == 2]
+    vector = AttributeVector(
+        single_bonds=len(bonds) - len(doubles),
         bridges=len(doubles),
-        diamonds=_bridge_triangles(doubles),
+        # triangles of bridges, each counted once: from its two lowest members
+        diamonds=sum(
+            1
+            for a, b in doubles
+            for x in adj[a] & adj[b]
+            if x > b and bonds[a, x] == bonds[b, x] == 2
+        ),
         nuclei=len(c.members),
-        reactors=len(reactors),
-        triggers=len(triggers),
+        reactors=len(heads),
+        triggers=len(tails),
     )
+    # 2-ary when the undirected bond graph is triangle-free
+    arity: Arity = "2-ary" if all(adj[a].isdisjoint(adj[b]) for a, b in bonds) else "n-ary"
+    return vector, _motif(vector, adj, tails, heads, c.members), arity
+
+
+def _motif(
+    v: AttributeVector,
+    adj: dict[str, set[str]],
+    tails: set[str],
+    heads: set[str],
+    members: frozenset[str],
+) -> MotifClass:
+    """Total, mutually exclusive motif classification.
+
+    Matching order: pair, bridge-pair, diamond, triangle, arrow, the star
+    classes, then complex. Specific shapes win over generic ones.
+    """
+    n, singles, doubles = v.nuclei, v.single_bonds, v.bridges
+    if n == 2:
+        return MotifClass.PAIR if singles == 1 else MotifClass.BRIDGE_PAIR
+    if n == 3:
+        if doubles == 3:
+            return MotifClass.DIAMOND
+        # three single bonds join every pair: a cycle when each member is
+        # the tail of one of the three edges
+        if singles == 3 and tails == members:
+            return MotifClass.TRIANGLE
+        # two single bonds share one member: an arrow when it is the head
+        # of one edge and the tail of the other
+        if singles == 2 and not doubles and tails & heads:
+            return MotifClass.ARROW
+    # a star: one member bonded to all others, leaves pairwise unbonded,
+    # all bonds single
+    if not doubles and singles == n - 1:
+        for center in sorted(members):
+            if len(adj[center]) == n - 1:
+                if heads == {center}:
+                    return MotifClass.STAR_IN
+                if tails == {center}:
+                    return MotifClass.STAR_OUT
+                return MotifClass.STAR_MIXED
+    return MotifClass.COMPLEX
 
 
 def roles(c: Community) -> dict[str, Role]:
@@ -201,70 +245,6 @@ def roles(c: Community) -> dict[str, Role]:
     return result
 
 
-def _star_center(c: Community) -> str | None:
-    """The unique member bonded to all others with pairwise unbonded leaves,
-    all bonds single; None when the community is not star-shaped."""
-    if any(d == 2 for d in c._bonds.values()):
-        return None
-    n = len(c.members)
-    if len(c._bonds) != n - 1:
-        return None
-    for m in sorted(c.members):
-        if len(c._bond_adj[m]) == n - 1:
-            return m
-    return None
-
-
-def classify_motif(c: Community) -> MotifClass:
-    """Total, mutually exclusive motif classification.
-
-    Matching order: pair, bridge-pair, diamond, triangle, arrow, the star
-    classes, then complex. Specific shapes win over generic ones.
-    """
-    n = len(c.members)
-    singles = c.single_bond_pairs()
-    doubles = c.double_bond_pairs()
-
-    if n == 2:
-        return MotifClass.PAIR if len(singles) == 1 else MotifClass.BRIDGE_PAIR
-    if n == 3:
-        if len(doubles) == 3 and not singles:
-            return MotifClass.DIAMOND
-        if len(singles) == 3 and not doubles:
-            if all(len(c._bond_adj[m]) == 2 for m in c.members):
-                outs = {a for a, _ in c.edges}
-                ins = {b for _, b in c.edges}
-                if outs == c.members and ins == c.members:
-                    return MotifClass.TRIANGLE
-        if len(singles) == 2 and not doubles:
-            (a1, b1), (a2, b2) = sorted(c.edges)
-            if b1 == a2 or b2 == a1:
-                return MotifClass.ARROW
-
-    center = _star_center(c)
-    if center is not None:
-        heads = {b for _, b in c.edges}
-        tails = {a for a, _ in c.edges}
-        if heads == {center}:
-            return MotifClass.STAR_IN
-        if tails == {center}:
-            return MotifClass.STAR_OUT
-        return MotifClass.STAR_MIXED
-    return MotifClass.COMPLEX
-
-
-def community_arity(c: Community) -> Arity:
-    """Arity of the whole community under the star rule applied everywhere.
-
-    2-ary when no member has two bonded neighbors that are themselves
-    bonded, i.e. the undirected bond graph is triangle-free; n-ary otherwise.
-    """
-    for a, b in c._bonds:
-        if c._bond_adj[a] & c._bond_adj[b]:
-            return "n-ary"
-    return "2-ary"
-
-
 ATTRIBUTES_CSV_HEADER = "year,community_id,motif,arity,SB,BR,DI,NU,RE,TR"
 
 # Sextuple entries are counts, and clustering computes in float64, which
@@ -279,10 +259,7 @@ def attributes_csv(comms: Sequence[Community]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ATTRIBUTES_CSV_HEADER.split(","))
     for c in comms:
-        vec = attribute_vector(c)
-        writer.writerow(
-            [c.year, c.id, classify_motif(c).value, community_arity(c), *vec.as_tuple()]
-        )
+        writer.writerow([c.year, c.id, c.motif.value, c.arity, *c.vector.as_tuple()])
     return buf.getvalue()
 
 
@@ -320,14 +297,15 @@ def attributes_from_csv(text: str) -> list[dict]:
 
 def community_to_json_dict(c: Community) -> dict:
     member_roles = roles(c)
+    members = sorted(c.members)
     return {
         "id": c.id,
-        "members": sorted(c.members),
+        "members": members,
         "edges": [list(e) for e in sorted(c.edges)],
-        "vector": attribute_vector(c).as_dict(),
-        "motif": classify_motif(c).value,
-        "arity": community_arity(c),
-        "roles": {m: member_roles[m].value for m in sorted(c.members)},
+        "vector": c.vector.as_dict(),
+        "motif": c.motif.value,
+        "arity": c.arity,
+        "roles": {m: member_roles[m].value for m in members},
     }
 
 

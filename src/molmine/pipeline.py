@@ -23,13 +23,7 @@ from typing import Sequence
 from ._util import derive_seed, round12
 from ._version import __version__
 from .cluster import LINKAGES, Dendrogram, hcluster
-from .decompose import (
-    Community,
-    attribute_vector,
-    attributes_csv,
-    communities,
-    communities_json_dict,
-)
+from .decompose import Community, attributes_csv, communities, communities_json_dict
 from .dot import to_dot
 from .errors import ConfigError, InputError
 from .graph import build_graph
@@ -226,7 +220,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     year_results = [do_year(y) for y in years]
 
     ids = [(r.year, c.id) for r in year_results for c in r.comms]
-    vectors = [attribute_vector(c) for r in year_results for c in r.comms]
+    vectors = [c.vector for r in year_results for c in r.comms]
     if ids:
         dend = hcluster(vectors, ids=ids, linkage=cfg.linkage, normalize=cfg.normalize)
     else:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -47,8 +48,8 @@ class Thresholds:
             raise ConfigError(f"min_support must be in [0,1], got {self.min_support}")
         if not (0.0 <= self.min_confidence <= 1.0):
             raise ConfigError(f"min_confidence must be in [0,1], got {self.min_confidence}")
-        if self.min_lift < 0.0:
-            raise ConfigError(f"min_lift must be non-negative, got {self.min_lift}")
+        if not 0.0 <= self.min_lift < math.inf:  # NaN fails both comparisons
+            raise ConfigError(f"min_lift must be finite and non-negative, got {self.min_lift}")
 
 
 @dataclass

@@ -20,13 +20,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from ._util import fmt12
-from .decompose import (
-    VECTOR_FIELDS,
-    Community,
-    MotifClass,
-    attribute_vector,
-    classify_motif,
-)
+from .decompose import VECTOR_FIELDS, Community, MotifClass
 from .errors import ConfigError, InputError
 
 IDENTITY_MODES = ("structural", "membership")
@@ -80,7 +74,7 @@ class PatternTimeline:
 
 def signature(c: Community, mode: str = "structural") -> Signature:
     if mode == "structural":
-        return Signature("structural", (classify_motif(c).value, attribute_vector(c).as_tuple()))
+        return Signature("structural", (c.motif.value, c.vector.as_tuple()))
     if mode == "membership":
         return Signature("membership", tuple(sorted(c.members)))
     raise ConfigError(f"unknown identity mode {mode!r}, expected one of {IDENTITY_MODES}")
@@ -212,11 +206,7 @@ def noise_fraction(snapshot: Sequence[Community]) -> float:
     """Share of communities that are isolated author pairs (pair or bridge-pair)."""
     if not snapshot:
         return 0.0
-    noisy = sum(
-        1
-        for c in snapshot
-        if classify_motif(c) in (MotifClass.PAIR, MotifClass.BRIDGE_PAIR)
-    )
+    noisy = sum(1 for c in snapshot if c.motif in (MotifClass.PAIR, MotifClass.BRIDGE_PAIR))
     return noisy / len(snapshot)
 
 

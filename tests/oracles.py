@@ -2,8 +2,10 @@
 
 Deliberately naive: plain scans, triple loops, and from-scratch linkage
 recomputation. These share no code path with the library so that agreement
-is evidence, not tautology. The one exception is ``primitive_hcluster``, the
-former merge loop of ``hcluster``, kept as the bit-exact reference for it.
+is evidence, not tautology. The exceptions are ``primitive_hcluster``, the
+former merge loop of ``hcluster``, and ``primitive_attribute_vector``,
+``primitive_classify_motif`` and ``primitive_arity``, the former per-call
+community descriptions, each kept as the exact reference for its rewrite.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Hashable, Sequence
+from collections import defaultdict
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from molmine.cluster import (
     _minmax_scale,
     _pairwise,
 )
-from molmine.decompose import AttributeVector
+from molmine.decompose import Arity, AttributeVector, Community, MotifClass
 
 
 # ----------------------------------------------------------------- mining
@@ -116,6 +119,143 @@ def oracle_components(nodes, edges):
             comps.append(sorted(comp))
     comps.sort(key=lambda c: c[0])
     return comps
+
+
+def oracle_arity(members, edges):
+    """"n-ary" when some three members are pairwise bonded, by brute force
+    over all triples; "2-ary" otherwise."""
+    edges = set(edges)
+
+    def bonded(a, b):
+        return (a, b) in edges or (b, a) in edges
+
+    for a, b, c in combinations(sorted(members), 3):
+        if bonded(a, b) and bonded(b, c) and bonded(a, c):
+            return "n-ary"
+    return "2-ary"
+
+
+# The former per-call community descriptions, as they were before the
+# one-pass rewrite; the bond caches that were ``Community`` properties are
+# the functions ``_bonds`` and ``_bond_adj`` here.
+
+
+def _bonds(c: Community) -> dict[tuple[str, str], int]:
+    """Unordered bonded pair -> number of directions present (1 or 2)."""
+    dirs: dict[tuple[str, str], int] = defaultdict(int)
+    for a, b in c.edges:
+        dirs[(a, b) if a <= b else (b, a)] += 1
+    return dict(dirs)
+
+
+def _bond_adj(c: Community) -> dict[str, set[str]]:
+    """Undirected adjacency over all bonds (single or double)."""
+    adj: dict[str, set[str]] = {m: set() for m in c.members}
+    for a, b in _bonds(c):
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _single_bond_pairs(c: Community) -> list[tuple[str, str]]:
+    return sorted(p for p, d in _bonds(c).items() if d == 1)
+
+
+def _double_bond_pairs(c: Community) -> list[tuple[str, str]]:
+    return sorted(p for p, d in _bonds(c).items() if d == 2)
+
+
+def _bridge_triangles(pairs: Iterable[tuple[str, str]]) -> int:
+    """Triangle count of the undirected graph given by the bridge pairs."""
+    adj: dict[str, set[str]] = defaultdict(set)
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    count = 0
+    for a, b in pairs:
+        # each triangle counted once: third node strictly above both endpoints
+        hi = max(a, b)
+        count += sum(1 for c in adj[a] & adj[b] if c > hi)
+    return count
+
+
+def primitive_attribute_vector(c: Community) -> AttributeVector:
+    doubles = _double_bond_pairs(c)
+    reactors = {b for _, b in c.edges}
+    triggers = {a for a, _ in c.edges}
+    return AttributeVector(
+        single_bonds=len(_single_bond_pairs(c)),
+        bridges=len(doubles),
+        diamonds=_bridge_triangles(doubles),
+        nuclei=len(c.members),
+        reactors=len(reactors),
+        triggers=len(triggers),
+    )
+
+
+def _star_center(c: Community) -> str | None:
+    """The unique member bonded to all others with pairwise unbonded leaves,
+    all bonds single; None when the community is not star-shaped."""
+    if any(d == 2 for d in _bonds(c).values()):
+        return None
+    n = len(c.members)
+    if len(_bonds(c)) != n - 1:
+        return None
+    for m in sorted(c.members):
+        if len(_bond_adj(c)[m]) == n - 1:
+            return m
+    return None
+
+
+def primitive_classify_motif(c: Community) -> MotifClass:
+    """Total, mutually exclusive motif classification.
+
+    Matching order: pair, bridge-pair, diamond, triangle, arrow, the star
+    classes, then complex. Specific shapes win over generic ones.
+    """
+    n = len(c.members)
+    singles = _single_bond_pairs(c)
+    doubles = _double_bond_pairs(c)
+
+    if n == 2:
+        return MotifClass.PAIR if len(singles) == 1 else MotifClass.BRIDGE_PAIR
+    if n == 3:
+        if len(doubles) == 3 and not singles:
+            return MotifClass.DIAMOND
+        if len(singles) == 3 and not doubles:
+            if all(len(_bond_adj(c)[m]) == 2 for m in c.members):
+                outs = {a for a, _ in c.edges}
+                ins = {b for _, b in c.edges}
+                if outs == c.members and ins == c.members:
+                    return MotifClass.TRIANGLE
+        if len(singles) == 2 and not doubles:
+            (a1, b1), (a2, b2) = sorted(c.edges)
+            if b1 == a2 or b2 == a1:
+                return MotifClass.ARROW
+
+    center = _star_center(c)
+    if center is not None:
+        heads = {b for _, b in c.edges}
+        tails = {a for a, _ in c.edges}
+        if heads == {center}:
+            return MotifClass.STAR_IN
+        if tails == {center}:
+            return MotifClass.STAR_OUT
+        return MotifClass.STAR_MIXED
+    return MotifClass.COMPLEX
+
+
+def primitive_arity(c: Community) -> Arity:
+    """Arity of the whole community under the star rule applied everywhere.
+
+    2-ary when no member has two bonded neighbors that are themselves
+    bonded, i.e. the undirected bond graph is triangle-free; n-ary otherwise.
+    """
+    adj = _bond_adj(c)
+    for a, b in _bonds(c):
+        if adj[a] & adj[b]:
+            return "n-ary"
+    return "2-ary"
 
 
 # ------------------------------------------------------------- clustering

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from molmine.cluster import cut, hcluster
 from molmine.corpus import CorpusProfile, generate_corpus
-from molmine.decompose import attribute_vector, communities
+from molmine.decompose import communities
 from molmine.graph import AssocGraph, parse_edge_list
 from molmine.pipeline import PipelineConfig, run_pipeline
 from molmine.rules import Thresholds, mine_rules
@@ -76,7 +76,7 @@ def test_criterion_1_golden_sextuples(capsys):
         t0 = time.perf_counter()
         for name, text, expected in GOLDEN:
             (comm,) = communities(parse_edge_list(text))
-            got = attribute_vector(comm).as_tuple()
+            got = comm.vector.as_tuple()
             assert got == expected, f"{name}: {got} != {expected}"
         # Documented exclusion: no 8-nucleus 7-edge star can reach the vector
         # (7,0,0,8,4,4). A pure star gives RE+TR = 8 with one side pinned to
@@ -87,7 +87,7 @@ def test_criterion_1_golden_sextuples(capsys):
             lines = [f"L{i} -> C" for i in range(k_in)]
             lines += [f"C -> M{j}" for j in range(7 - k_in)]
             (comm,) = communities(parse_edge_list("\n".join(lines)))
-            v = attribute_vector(comm)
+            v = comm.vector
             assert (v.single_bonds, v.bridges, v.nuclei) == (7, 0, 8)
             assert v.reactors + v.triggers == 9
         assert time.perf_counter() - t0 < 1.0
@@ -109,7 +109,7 @@ def test_criterion_2_diamond_oracle(capsys):
                     and (y, z) in edges and (z, y) in edges
                     and (x, z) in edges and (z, x) in edges
                 )
-                assert attribute_vector(comm).diamonds == brute
+                assert comm.vector.diamonds == brute
         assert time.perf_counter() - t0 < 5.0
     report(capsys, 2, "community DI equals brute-force triple enumeration on 120 random digraphs in < 5 s", check)
 
@@ -120,13 +120,13 @@ def test_criterion_3_bond_accounting(capsys):
         for _ in range(120):
             g = random_digraph(rng)
             for comm in communities(g):
-                v = attribute_vector(comm)
+                v = comm.vector
                 assert v.single_bonds + 2 * v.bridges == len(comm.edges)
         for n in range(3, 9):
             nodes = [f"k{i}" for i in range(n)]
             edges = [(a, b) for a, b in permutations(nodes, 2)]
             (comm,) = communities(AssocGraph.from_edges(edges))
-            v = attribute_vector(comm)
+            v = comm.vector
             assert v.bridges == math.comb(n, 2)
             assert v.diamonds == math.comb(n, 3)
     report(capsys, 3, "SB + 2*BR equals edge count everywhere; complete bridge graphs give DI = C(n,3)", check)

@@ -118,6 +118,25 @@ class TestMine:
         assert rc == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize(
+        "command,value",
+        [("mine", "inf"), ("mine", "nan"), ("pipeline", "nan"), ("config", float("inf"))],
+    )
+    def test_non_finite_min_lift_exits_2(self, corpus, tmp_path, capsys, command, value):
+        out_dir = tmp_path / "out"
+        if command == "config":
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"input": [str(corpus)], "min_lift": value}))
+            argv = ["pipeline", "--config", str(config), "--out-dir", str(out_dir)]
+        elif command == "pipeline":
+            argv = ["pipeline", "--input", str(corpus), "--min-lift", value,
+                    "--out-dir", str(out_dir)]
+        else:
+            argv = ["mine", "--input", str(corpus), "--min-lift", value]
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2 and err.startswith("config error:") and "min_lift" in err
+        assert not out_dir.exists()
+
     def test_sampling_flags(self, corpus, capsys):
         rc1, out1, _ = run(
             capsys, "mine", "--input", str(corpus), "--year", "2001",
@@ -391,6 +410,19 @@ class TestTimeline:
                          id="edge-to-non-member"),
             pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY, "edges": [["A", "A"]]}]},
                          id="self-loop"),
+            pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY, "members": ["A", "B", "C"]}]},
+                         id="member-without-edge"),
+            pytest.param({"year": 1994, "communities": [{"id": 0, "members": ["A"], "edges": []}]},
+                         id="one-member"),
+            pytest.param({"year": 1994, "communities": [
+                GOOD_ENTRY, {"id": 0, "members": ["C", "D"], "edges": [["C", "D"]]}]},
+                         id="duplicate-id"),
+            pytest.param({"year": 1994, "communities": [
+                {"id": 0, "members": ["C", "D"], "edges": [["C", "D"]]}, {**GOOD_ENTRY, "id": 1}]},
+                         id="out-of-order"),
+            pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY, "members": ["A", "B", "C", "D"],
+                                                          "edges": [["A", "B"], ["C", "D"]]}]},
+                         id="disconnected"),
         ],
     )
     def test_invalid_communities_exit_1(self, payload, tmp_path, capsys):
@@ -463,6 +495,7 @@ class TestPipeline:
             ("strict", 1),
             ("format", ["jsonl"]),
             ("out_dir", 5),
+            ("years", [True, 2002]),
             ("jobs", 2),  # retired: an unknown key
         ],
     )

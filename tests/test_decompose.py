@@ -6,20 +6,25 @@ import pytest
 from molmine.decompose import (
     ATTRIBUTES_CSV_HEADER,
     AttributeVector,
+    Community,
     MotifClass,
     Role,
-    attribute_vector,
     attributes_csv,
     attributes_from_csv,
-    classify_motif,
     communities,
     communities_json_dict,
-    community_arity,
     roles,
 )
 from molmine.errors import InputError
 from molmine.graph import AssocGraph, parse_edge_list
-from oracles import oracle_components, oracle_vector
+from oracles import (
+    oracle_arity,
+    oracle_components,
+    oracle_vector,
+    primitive_arity,
+    primitive_attribute_vector,
+    primitive_classify_motif,
+)
 
 
 def community_of(edge_text):
@@ -140,7 +145,7 @@ class TestAttributeVector:
     @pytest.mark.parametrize("name,text,expected", GOLDEN, ids=[g[0] for g in GOLDEN])
     def test_golden_vectors(self, name, text, expected):
         c = community_of(text)
-        assert attribute_vector(c).as_tuple() == expected
+        assert c.vector.as_tuple() == expected
 
     def test_mixed_star_role_sum(self):
         # A 7-edge mixed star always has RE + TR = 9 (center carries both
@@ -151,8 +156,8 @@ class TestAttributeVector:
             edges = [(f"L{i}", "C") for i in range(k_in)]
             edges += [("C", f"L{i}") for i in range(k_in, 7)]
             c = communities(AssocGraph.from_edges(edges))[0]
-            vec = attribute_vector(c)
-            assert classify_motif(c) == MotifClass.STAR_MIXED
+            vec = c.vector
+            assert c.motif == MotifClass.STAR_MIXED
             assert vec.reactors + vec.triggers == 9
 
     def test_oracle_agreement_random(self):
@@ -160,14 +165,14 @@ class TestAttributeVector:
         for _ in range(100):
             g = random_graph(rng)
             for c in communities(g):
-                assert attribute_vector(c).as_tuple() == oracle_vector(c.members, c.edges)
+                assert c.vector.as_tuple() == oracle_vector(c.members, c.edges)
 
     def test_bond_accounting_invariant(self):
         rng = random.Random(5)
         for _ in range(60):
             g = random_graph(rng)
             for c in communities(g):
-                vec = attribute_vector(c)
+                vec = c.vector
                 assert vec.single_bonds + 2 * vec.bridges == len(c.edges)
                 assert vec.reactors <= vec.nuclei and vec.triggers <= vec.nuclei
 
@@ -207,46 +212,63 @@ class TestMotifs:
         ],
     )
     def test_classification(self, text, motif):
-        assert classify_motif(community_of(text)) == motif
+        assert community_of(text).motif == motif
 
     def test_two_leaf_mixed_star_is_arrow_not_star(self):
         # A -> C -> B is simultaneously a 2-leaf star shape and a directed
         # path; the arrow class is more specific and wins.
         c = community_of("A -> C\nC -> B\n")
-        assert classify_motif(c) == MotifClass.ARROW
+        assert c.motif == MotifClass.ARROW
 
     def test_triangle_requires_cycle(self):
         # 3 single bonds on a K3 with a source and a sink is not a cycle
         c = community_of("A -> B\nA -> C\nB -> C\n")
-        assert classify_motif(c) == MotifClass.COMPLEX
+        assert c.motif == MotifClass.COMPLEX
 
     def test_total_classification(self):
         rng = random.Random(31)
         for _ in range(80):
             g = random_graph(rng, max_nodes=8)
             for c in communities(g):
-                assert classify_motif(c) in MotifClass
+                assert c.motif in MotifClass
 
 
 class TestArity:
     def test_star_arity_2ary(self):
         c = community_of("A -> C\nB -> C\n")
-        assert community_arity(c) == "2-ary"
+        assert c.arity == "2-ary"
 
     def test_star_arity_nary(self):
         # center with two bonded neighbors
         c = community_of("A -> C\nB -> C\nA -> B\n")
-        assert community_arity(c) == "n-ary"
+        assert c.arity == "n-ary"
 
     def test_community_arity(self):
-        assert community_arity(community_of("A -> B\nB -> C\n")) == "2-ary"
-        assert community_arity(community_of("A -> B\nB -> C\nC -> A\n")) == "n-ary"
+        assert community_of("A -> B\nB -> C\n").arity == "2-ary"
+        assert community_of("A -> B\nB -> C\nC -> A\n").arity == "n-ary"
         assert (
-            community_arity(
-                community_of("X -> Y\nY -> X\nY -> Z\nZ -> Y\nX -> Z\nZ -> X\n")
-            )
+            community_of("X -> Y\nY -> X\nY -> Z\nZ -> Y\nX -> Z\nZ -> X\n").arity
             == "n-ary"
         )
+
+
+class TestOnePassDescription:
+    """``vector``, ``motif`` and ``arity`` equal the former per-call functions
+    on 6,000 communities of 2-7 nuclei, connected or not."""
+
+    @pytest.mark.parametrize("density", [0.15, 0.3, 0.5, 0.75, 1.0])
+    def test_matches_primitive_functions(self, density):
+        rng = random.Random(int(density * 100))
+        for _ in range(1200):
+            members = [f"m{i}" for i in range(rng.randint(2, 7))]
+            edges = frozenset(
+                (a, b) for a, b in permutations(members, 2) if rng.random() < density
+            )
+            c = Community(0, frozenset(members), edges)
+            assert c.vector == primitive_attribute_vector(c)
+            assert c.vector.as_tuple() == oracle_vector(c.members, c.edges)
+            assert c.motif == primitive_classify_motif(c)
+            assert c.arity == primitive_arity(c) == oracle_arity(c.members, c.edges)
 
 
 class TestArtifacts:

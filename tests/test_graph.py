@@ -1,6 +1,6 @@
 import pytest
 
-from molmine.decompose import Role, communities, roles
+from molmine.decompose import MotifClass, Role, communities, roles
 from molmine.errors import InputError
 from molmine.graph import AssocGraph, GraphError, build_graph, parse_edge_list
 from molmine.rules import Rule
@@ -46,8 +46,11 @@ class TestPredicates:
         # bonds are read per community: both directions make a double bond,
         # exactly one a single bond (exclusive or), none no bond
         (c,) = communities(g)
-        assert c.double_bond_pairs() == [("A", "B")]
-        assert c.single_bond_pairs() == [("B", "C")]
+        assert (c.vector.bridges, c.vector.single_bonds) == (1, 1)
+        (ab,) = communities(AssocGraph.from_edges([e for e in g.edges if "C" not in e]))
+        (bc,) = communities(AssocGraph.from_edges([e for e in g.edges if "A" not in e]))
+        assert ab.members == {"A", "B"} and ab.motif == MotifClass.BRIDGE_PAIR
+        assert bc.members == {"B", "C"} and bc.motif == MotifClass.PAIR
 
     def test_roles(self, g):
         (c,) = communities(g)

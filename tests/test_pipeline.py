@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from molmine import decompose
 from molmine.corpus import generate_corpus
 from molmine.errors import ConfigError, InputError
 from molmine.pipeline import PipelineConfig, RunManifest, run_pipeline
@@ -141,6 +142,25 @@ class TestDeterminism:
                 assert a[name] == b[name]
         for entry in manifests[0].years:
             assert entry["transactions"] < 200  # strictly thinner than the full bucket
+
+
+class TestDescribedOnce:
+    @pytest.mark.parametrize("identity", ["structural", "membership"])
+    def test_one_description_per_community(self, corpus_path, tmp_path, monkeypatch, identity):
+        calls = []
+        describe = decompose._describe
+
+        def counted(c):
+            calls.append((c.year, c.id))
+            return describe(c)
+
+        monkeypatch.setattr(decompose, "_describe", counted)
+        cfg = PipelineConfig(
+            inputs=(str(corpus_path),), identity=identity, out_dir=str(tmp_path / "out")
+        )
+        manifest = run_pipeline(cfg)
+        assert manifest.totals["communities"] == 21
+        assert len(calls) == len(set(calls)) == 21
 
 
 class TestEmptyAndErrors:
