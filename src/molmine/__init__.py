@@ -14,7 +14,7 @@ from .decompose import (
     attributes_csv,
     attributes_from_csv,
     communities,
-    communities_json_dict,
+    communities_json,
     roles,
 )
 from .dot import to_dot
@@ -81,7 +81,7 @@ __all__ = [
     "build_graph",
     "classify_lifecycle",
     "communities",
-    "communities_json_dict",
+    "communities_json",
     "count_pairs",
     "cut",
     "generate_corpus",

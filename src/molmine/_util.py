@@ -5,6 +5,24 @@ from __future__ import annotations
 import hashlib
 
 
+def is_utf8_str(value: object) -> bool:
+    """Whether ``value`` is a string that UTF-8 can encode.
+
+    ``json.loads`` turns an unpaired escape such as ``"\\ud800"`` into a
+    string holding a lone surrogate, which no UTF-8 file can hold, so JSON
+    readers check their strings with this.
+    """
+    if not isinstance(value, str):
+        return False
+    if value.isascii():
+        return True
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def fmt12(x: float) -> str:
     """Format a double with 12 significant digits (file output convention)."""
     return f"{x:.12g}"

@@ -14,8 +14,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Hashable, Iterable
 
-from ._util import derive_seed
+from ._util import derive_seed, is_utf8_str
 from ._version import __version__
 from .cluster import LINKAGES, check_cut, cut, hcluster
 from .corpus import CorpusProfile, generate_corpus
@@ -24,7 +25,7 @@ from .decompose import (
     attributes_csv,
     attributes_from_csv,
     communities,
-    communities_json_dict,
+    communities_json,
 )
 from .dot import to_dot
 from .errors import ConfigError, InputError
@@ -132,10 +133,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     comms = communities(g)
     _write_output(attributes_csv(comms), args.out_attributes)
     if args.out_communities is not None:
-        _write_output(
-            json.dumps(communities_json_dict(comms, year), indent=2, ensure_ascii=False) + "\n",
-            args.out_communities,
-        )
+        _write_output(communities_json(comms, year), args.out_communities)
     print(f"{len(comms)} communities over {len(g.nodes)} nuclei", file=sys.stderr)
     return 0
 
@@ -180,6 +178,15 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+def _first_repeat(items: Iterable[Hashable]) -> Hashable | None:
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+    return None
+
+
 def _communities_from_json(text: str, path: str):
     def bad(reason: str) -> InputError:
         return InputError(f"malformed communities JSON in {path}: {reason}")
@@ -202,8 +209,8 @@ def _communities_from_json(text: str, path: str):
         cid, members, edges = entry["id"], entry["members"], entry["edges"]
         if not _is_int(cid):
             raise bad(f"community id must be an integer, got {cid!r}")
-        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
-            raise bad(f"community {cid}: members must be a list of strings")
+        if not isinstance(members, list) or not all(is_utf8_str(m) for m in members):
+            raise bad(f"community {cid}: members must be a list of valid Unicode strings")
         if not isinstance(edges, list):
             raise bad(f"community {cid}: edges must be a list")
         for e in edges:
@@ -213,7 +220,13 @@ def _communities_from_json(text: str, path: str):
                 raise bad(f"community {cid}: edge {e!r} is not a pair of strings")
             if e[0] == e[1]:
                 raise bad(f"community {cid}: self-loop on {e[0]!r}")
-        comms.append(Community(cid, frozenset(members), frozenset(map(tuple, edges)), year))
+        member_set = frozenset(members)
+        edge_set = frozenset(map(tuple, edges))
+        if len(member_set) != len(members):
+            raise bad(f"community {cid}: member {_first_repeat(members)!r} is listed twice")
+        if len(edge_set) != len(edges):
+            raise bad(f"community {cid}: edge {_first_repeat(map(tuple, edges))!r} is listed twice")
+        comms.append(Community(cid, member_set, edge_set, year))
     # The file must list exactly the communities its edges decompose into;
     # each of those holds an edge of the file, so none can be missing from
     # a list that matches them in order.
@@ -296,6 +309,9 @@ def _load_config(path: str) -> dict:
             ok = all(isinstance(p, str) for p in value)
         if not ok:
             raise ConfigError(f"config {path}: {key!r} must be {expected}, got {value!r}")
+        texts = value if key == "input" else [value]
+        if not all(is_utf8_str(t) for t in texts if isinstance(t, str)):
+            raise ConfigError(f"config {path}: {key!r} holds a lone surrogate: {value!r}")
     return data
 
 

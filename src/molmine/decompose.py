@@ -27,7 +27,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Literal, Sequence
+from json.encoder import encode_basestring
+from typing import Iterable, Literal, Sequence
 
 from .errors import InputError
 from .graph import AssocGraph
@@ -295,19 +296,66 @@ def attributes_from_csv(text: str) -> list[dict]:
     return rows
 
 
-def community_to_json_dict(c: Community) -> dict:
+# Role values as JSON strings.
+_ROLE_JSON = {r: encode_basestring(r.value) for r in Role}
+
+
+def _append_items(
+    out: list[str], items: Iterable[Sequence[str]], indent: str, brackets: str
+) -> None:
+    """Append to ``out`` a JSON array or object at depth ``indent``, laid out
+    as by ``json.dumps(indent=2)``; each item is given as its text pieces."""
+    start = len(out)
+    separator = f",\n  {indent}"
+    for pieces in items:
+        out.append(separator)
+        out += pieces
+    if len(out) == start:
+        out.append(brackets)
+    else:
+        out[start] = f"{brackets[0]}\n  {indent}"
+        out.append(f"\n{indent}{brackets[1]}")
+
+
+def _community_pieces(c: Community) -> list[str]:
+    """One community's object in the communities document, as text pieces."""
     member_roles = roles(c)
     members = sorted(c.members)
-    return {
-        "id": c.id,
-        "members": members,
-        "edges": [list(e) for e in sorted(c.edges)],
-        "vector": c.vector.as_dict(),
-        "motif": c.motif.value,
-        "arity": c.arity,
-        "roles": {m: member_roles[m].value for m in members},
-    }
+    quoted = {m: encode_basestring(m) for m in members}
+    pad = "      "  # the object's keys sit at depth 3
+    out = [f'{{\n{pad}"id": {c.id},\n{pad}"members": ']
+    _append_items(out, ((quoted[m],) for m in members), pad, "[]")
+    out.append(f',\n{pad}"edges": ')
+    edges = (
+        ("[\n          ", quoted[a], ",\n          ", quoted[b], "\n        ]")
+        for a, b in sorted(c.edges)
+    )
+    _append_items(out, edges, pad, "[]")
+    out.append(f',\n{pad}"vector": ')
+    _append_items(out, ((f'"{f}": {v}',) for f, v in c.vector.as_dict().items()), pad, "{}")
+    out.append(
+        f',\n{pad}"motif": {encode_basestring(c.motif.value)}'
+        f',\n{pad}"arity": {encode_basestring(c.arity)}'
+        f',\n{pad}"roles": '
+    )
+    member_roles_json = ((quoted[m], ": ", _ROLE_JSON[member_roles[m]]) for m in members)
+    _append_items(out, member_roles_json, pad, "{}")
+    out.append("\n    }")
+    return out
 
 
-def communities_json_dict(comms: Sequence[Community], year: int) -> dict:
-    return {"year": year, "communities": [community_to_json_dict(c) for c in comms]}
+def communities_json(comms: Sequence[Community], year: int) -> str:
+    """The communities document of one year, as written to
+    ``communities_<year>.json``.
+
+    The text equals ``json.dumps(doc, indent=2, ensure_ascii=False)`` plus a
+    newline, for ``doc = {"year": year, "communities": [{"id", "members"
+    (sorted), "edges" (sorted [tail, head] pairs), "vector", "motif",
+    "arity", "roles" (by sorted member)}, ...]}``. Each member name is
+    encoded once, by the function ``json.dumps`` itself uses for strings,
+    and the text is joined once from the pieces.
+    """
+    out = [f'{{\n  "year": {year},\n  "communities": ']
+    _append_items(out, map(_community_pieces, comms), "  ", "[]")
+    out.append("\n}\n")
+    return "".join(out)

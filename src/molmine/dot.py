@@ -11,10 +11,7 @@ from .decompose import Community
 from .graph import AssocGraph
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"}
-
-
-def _quote(name: str) -> str:
-    return '"' + "".join(_ESCAPES.get(ch, ch) for ch in name) + '"'
+_QUOTE = str.maketrans(_ESCAPES)
 
 
 def to_dot(obj: AssocGraph | Community, name: str = "G") -> str:
@@ -24,20 +21,20 @@ def to_dot(obj: AssocGraph | Community, name: str = "G") -> str:
     else:
         nodes, edges = obj.nodes, obj.edges
 
+    # each node is quoted once; edge lines reuse the quoted names
+    quoted = {node: f'"{node.translate(_QUOTE)}"' for node in nodes}
     lines = [f"digraph {name} {{"]
-    for node in sorted(nodes):
-        lines.append(f"  {_quote(node)};")
+    lines.extend(f"  {quoted[node]};" for node in sorted(nodes))
 
-    edge_set = set(edges)
     rendered: list[tuple[str, str, bool]] = []
-    for a, b in edge_set:
-        if (b, a) in edge_set:
+    for a, b in edges:
+        if (b, a) in edges:
             if a < b:  # one line per double bond
                 rendered.append((a, b, True))
         else:
             rendered.append((a, b, False))
     for a, b, double in sorted(rendered):
         suffix = " [dir=both]" if double else ""
-        lines.append(f"  {_quote(a)} -> {_quote(b)}{suffix};")
+        lines.append(f"  {quoted[a]} -> {quoted[b]}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -23,6 +23,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
+from ._util import is_utf8_str
 from .errors import ConfigError, InputError
 
 #: DBLP record elements that may describe a publication.
@@ -120,10 +121,11 @@ def parse_jsonl(stream: str | IO[str] | Iterable[str], strict: bool = False) -> 
     """Parse JSONL publication records.
 
     Each non-blank line must be a JSON object with keys ``id`` (string),
-    ``year`` (integer) and ``authors`` (array of strings). Author lists are
-    deduplicated preserving first occurrence. Malformed lines raise
-    :class:`InputError` in strict mode and are skipped (and counted)
-    otherwise.
+    ``year`` (integer) and ``authors`` (array of strings). A string holding
+    a lone surrogate (an unpaired ``\\ud800`` escape) makes the line
+    malformed. Author lists are deduplicated preserving first occurrence.
+    Malformed lines raise :class:`InputError` in strict mode and are skipped
+    (and counted) otherwise.
     """
     result = ParseResult()
     for lineno, line in enumerate(_lines(stream), start=1):
@@ -134,9 +136,9 @@ def parse_jsonl(stream: str | IO[str] | Iterable[str], strict: bool = False) -> 
             obj = json.loads(line)
             if (
                 isinstance(obj, dict)
-                and isinstance(obj.get("id"), str)
+                and is_utf8_str(obj.get("id"))
                 and isinstance(obj.get("authors"), list)
-                and all(isinstance(a, str) for a in obj["authors"])
+                and all(is_utf8_str(a) for a in obj["authors"])
             ):
                 pub = _make_publication(obj["id"], obj.get("year"), obj["authors"])
         except json.JSONDecodeError:

@@ -23,7 +23,7 @@ from typing import Sequence
 from ._util import derive_seed, round12
 from ._version import __version__
 from .cluster import LINKAGES, Dendrogram, hcluster
-from .decompose import Community, attributes_csv, communities, communities_json_dict
+from .decompose import Community, attributes_csv, communities, communities_json
 from .dot import to_dot
 from .errors import ConfigError, InputError
 from .graph import build_graph
@@ -208,7 +208,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
             g = build_graph(rules, year)
             comms = communities(g)
             _write(out / f"rules_{year}.csv", rules_to_csv(rules))
-            _write(out / f"communities_{year}.json", _json_text(communities_json_dict(comms, year)))
+            _write(out / f"communities_{year}.json", communities_json(comms, year))
             _write(out / f"attributes_{year}.csv", attributes_csv(comms))
             _write(out / f"snapshot_{year}.dot", to_dot(g, name=f"snapshot_{year}"))
             return _YearResult(

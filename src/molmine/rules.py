@@ -10,10 +10,17 @@ consequent count ``b`` and ``n`` transactions:
   base rate; symmetric in A, B)
 
 ``mine_rules`` keeps the ordered pairs with support >= min_support,
-confidence >= min_confidence and lift > min_lift. Threshold comparisons are
-done in exact rational arithmetic on the integer counts (against the exact
-binary value of each double threshold), so results never depend on rounding;
-the reported support/confidence/lift values are doubles.
+confidence >= min_confidence and lift > min_lift. Each threshold is compared
+exactly, against the binary value ``num/den`` of its double
+(``float.as_integer_ratio()``), through integer floors derived once:
+
+* support:    p >= ceil(min_support * n), once per year
+* confidence: p >= ceil(min_confidence * a), once per author
+* lift:       p * n * den > num * a * b, once per unordered pair, since lift
+  is symmetric
+
+so results never depend on rounding. The reported support/confidence/lift
+values are doubles: ``p / n``, ``p / a`` and ``(p * n) / (a * b)``.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter
 from typing import Collection, Iterable, Sequence
 
 from ._util import fmt12
@@ -96,25 +103,27 @@ def mine_rules(
     thresholds.validate()
     counts = count_pairs(transactions)
     n = counts.n_transactions
-    min_support = Fraction(thresholds.min_support)
-    min_confidence = Fraction(thresholds.min_confidence)
-    min_lift = Fraction(thresholds.min_lift)
+    s_num, s_den = thresholds.min_support.as_integer_ratio()
+    c_num, c_den = thresholds.min_confidence.as_integer_ratio()
+    l_num, l_den = thresholds.min_lift.as_integer_ratio()
+    min_pairs = -(-s_num * n // s_den)  # ceil(min_support * n)
+    # author -> (transactions holding it, ceil(min_confidence * that count))
+    base = {a: (k, -(-c_num * k // c_den)) for a, k in counts.singles.items()}
 
     rules: list[Rule] = []
     for (a, b), p in counts.pairs.items():
-        if Fraction(p, n) < min_support:
+        if p < min_pairs:
             continue
-        for ante, cons in ((a, b), (b, a)):
-            n_ante = counts.singles[ante]
-            n_cons = counts.singles[cons]
-            if Fraction(p, n_ante) < min_confidence:
-                continue
-            if Fraction(p * n, n_ante * n_cons) <= min_lift:
-                continue
-            rules.append(
-                Rule(ante, cons, p / n, p / n_ante, (p * n) / (n_ante * n_cons))
-            )
-    rules.sort(key=lambda r: (r.antecedent, r.consequent))
+        n_a, min_a = base[a]
+        n_b, min_b = base[b]
+        if p * n * l_den <= l_num * n_a * n_b:
+            continue
+        lift = (p * n) / (n_a * n_b)
+        if p >= min_a:
+            rules.append(Rule(a, b, p / n, p / n_a, lift))
+        if p >= min_b:
+            rules.append(Rule(b, a, p / n, p / n_b, lift))
+    rules.sort(key=attrgetter("antecedent", "consequent"))
     return rules
 
 

@@ -1,2 +1,2 @@
 # Keeps the tests directory on sys.path so test modules can import the
-# shared oracle helpers (oracles.py, dot_grammar.py) directly.
+# shared helpers (oracles.py, dot_grammar.py, strategies.py) directly.

@@ -3,9 +3,12 @@
 Deliberately naive: plain scans, triple loops, and from-scratch linkage
 recomputation. These share no code path with the library so that agreement
 is evidence, not tautology. The exceptions are ``primitive_hcluster``, the
-former merge loop of ``hcluster``, and ``primitive_attribute_vector``,
+former merge loop of ``hcluster``; ``primitive_attribute_vector``,
 ``primitive_classify_motif`` and ``primitive_arity``, the former per-call
-community descriptions, each kept as the exact reference for its rewrite.
+community descriptions; ``communities_json_dict``, the former
+communities-JSON document that ``json.dumps`` encoded; and
+``primitive_to_dot``, the former DOT renderer. Each is kept as the exact
+reference for its rewrite.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from molmine.cluster import (
     _minmax_scale,
     _pairwise,
 )
-from molmine.decompose import Arity, AttributeVector, Community, MotifClass
+from molmine.decompose import Arity, AttributeVector, Community, MotifClass, roles
 
 
 # ----------------------------------------------------------------- mining
@@ -257,6 +260,54 @@ def primitive_arity(c: Community) -> Arity:
             return "n-ary"
     return "2-ary"
 
+
+
+def community_to_json_dict(c: Community) -> dict:
+    """One community's entry of the communities JSON document."""
+    member_roles = roles(c)
+    members = sorted(c.members)
+    return {
+        "id": c.id,
+        "members": members,
+        "edges": [list(e) for e in sorted(c.edges)],
+        "vector": c.vector.as_dict(),
+        "motif": c.motif.value,
+        "arity": c.arity,
+        "roles": {m: member_roles[m].value for m in members},
+    }
+
+
+def communities_json_dict(comms: Sequence[Community], year: int) -> dict:
+    """The communities JSON document as a dict; ``json.dumps(doc, indent=2,
+    ensure_ascii=False)`` plus a newline is the reference for
+    ``communities_json``."""
+    return {"year": year, "communities": [community_to_json_dict(c) for c in comms]}
+
+
+def primitive_to_dot(nodes, edges, name: str = "G") -> str:
+    """The former ``to_dot``, which quoted each name per character at every
+    occurrence."""
+    escapes = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"}
+
+    def quote(node: str) -> str:
+        return '"' + "".join(escapes.get(ch, ch) for ch in node) + '"'
+
+    lines = [f"digraph {name} {{"]
+    for node in sorted(nodes):
+        lines.append(f"  {quote(node)};")
+    edge_set = set(edges)
+    rendered = []
+    for a, b in edge_set:
+        if (b, a) in edge_set:
+            if a < b:
+                rendered.append((a, b, True))
+        else:
+            rendered.append((a, b, False))
+    for a, b, double in sorted(rendered):
+        suffix = " [dir=both]" if double else ""
+        lines.append(f"  {quote(a)} -> {quote(b)}{suffix};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 # ------------------------------------------------------------- clustering
 

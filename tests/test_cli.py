@@ -423,6 +423,16 @@ class TestTimeline:
             pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY, "members": ["A", "B", "C", "D"],
                                                           "edges": [["A", "B"], ["C", "D"]]}]},
                          id="disconnected"),
+            pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY, "members": ["A", "A", "B"]}]},
+                         id="duplicate-member"),
+            pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY,
+                                                          "edges": [["A", "B"], ["A", "B"]]}]},
+                         id="duplicate-edge"),
+            pytest.param({"year": 1994, "communities": [{"id": 0, "members": ["\ud800", "B"],
+                                                          "edges": [["\ud800", "B"]]}]},
+                         id="lone-surrogate-member"),
+            pytest.param({"year": 1994, "communities": [{**GOOD_ENTRY, "edges": [["A", "\udc00"]]}]},
+                         id="lone-surrogate-edge"),
         ],
     )
     def test_invalid_communities_exit_1(self, payload, tmp_path, capsys):
@@ -430,6 +440,48 @@ class TestTimeline:
         bad.write_text(json.dumps(payload))
         rc, _, err = run(capsys, "timeline", "--communities", str(bad), "--identity", "membership")
         assert rc == 1 and "malformed communities JSON" in err
+
+
+class TestLoneSurrogates:
+    """``json.loads`` accepts an unpaired ``\\ud800`` escape, which no UTF-8
+    artifact can hold: every JSON reader rejects it where it reads it."""
+
+    @pytest.fixture
+    def records(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text(
+            '{"year": 2001, "authors": ["\\ud800x", "B"], "id": "p1"}\n'
+            '{"year": 2001, "authors": ["C"], "id": "p2"}\n',
+            encoding="utf-8",
+        )
+        return path
+
+    @pytest.mark.parametrize("command", ["ingest", "mine"])
+    def test_record_skipped_or_strict_exit_1(self, records, tmp_path, capsys, command):
+        out = tmp_path / "out.txt"
+        rc, _, _ = run(capsys, command, "--input", str(records), "--out", str(out))
+        assert rc == 0
+        out.read_text(encoding="utf-8")
+        rc, _, err = run(capsys, command, "--input", str(records), "--strict")
+        assert rc == 1 and "malformed JSONL record at line 1" in err
+
+    def test_pipeline_skips_record(self, records, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        rc, _, _ = run(capsys, "pipeline", "--input", str(records), "--out-dir", str(out_dir))
+        assert rc == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["totals"]["publications"] == 1
+        assert manifest["totals"]["skipped"] == 1
+        rc, _, _ = run(capsys, "pipeline", "--input", str(records), "--strict",
+                       "--out-dir", str(tmp_path / "strict"))
+        assert rc == 1
+
+    @pytest.mark.parametrize("key,value", [("input", ["\ud800.jsonl"]), ("out_dir", "o\udfff")])
+    def test_config_exit_2(self, corpus, tmp_path, capsys, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"input": [str(corpus)], key: value}))
+        rc, _, err = run(capsys, "pipeline", "--config", str(config))
+        assert rc == 2 and "lone surrogate" in err and key in err
 
 
 class TestExportDot:

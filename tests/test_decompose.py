@@ -1,7 +1,10 @@
+import json
 import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molmine.decompose import (
     ATTRIBUTES_CSV_HEADER,
@@ -12,12 +15,14 @@ from molmine.decompose import (
     attributes_csv,
     attributes_from_csv,
     communities,
-    communities_json_dict,
+    communities_json,
     roles,
 )
 from molmine.errors import InputError
 from molmine.graph import AssocGraph, parse_edge_list
+from strategies import EDGES
 from oracles import (
+    communities_json_dict,
     oracle_arity,
     oracle_components,
     oracle_vector,
@@ -316,3 +321,32 @@ class TestArtifacts:
         assert entry["motif"] == "pair"
         assert entry["roles"] == {"A": "reactor-only", "B": "trigger-only"}
         assert entry["vector"]["SB"] == 1
+
+
+def reference_json(comms, year):
+    return json.dumps(communities_json_dict(comms, year), indent=2, ensure_ascii=False) + "\n"
+
+
+class TestCommunitiesJson:
+    """``communities_json`` against ``json.dumps`` of the document dict."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(EDGES, st.integers(-(2**40), 2**40))
+    def test_equals_json_dumps(self, edges, year):
+        comms = communities(AssocGraph.from_edges(edges, year=year))
+        assert communities_json(comms, year) == reference_json(comms, year)
+
+    def test_escaped_names(self):
+        names = ['q"uote', "back\\slash", "nl\nc\x01r\r", "t\tab", "caf\u00e9", "\U0001f600"]
+        edges = list(zip(names, names[1:]))
+        comms = communities(AssocGraph.from_edges(edges, year=1994))
+        text = communities_json(comms, 1994)
+        assert text == reference_json(comms, 1994)
+        assert '"q\\"uote"' in text and '"nl\\nc\\u0001r\\r"' in text and "caf\u00e9" in text
+
+    def test_empty_year_and_empty_community(self):
+        assert communities_json([], 2001) == reference_json([], 2001)
+        assert communities_json([], 2001) == '{\n  "year": 2001,\n  "communities": []\n}\n'
+        # a hand-built community without members or edges renders [] and {}
+        empty = [Community(0, frozenset(), frozenset(), year=0)]
+        assert communities_json(empty, 0) == reference_json(empty, 0)

@@ -53,6 +53,9 @@ class TestParseJsonl:
             '{"year":1994,"authors":["A"]}',
             '{"id":"p","authors":["A"]}',
             "[1,2,3]",
+            '{"id":"p","year":1994,"authors":["\\ud800x","B"]}',  # lone surrogates
+            '{"id":"p","year":1994,"authors":["A","\\udfff"]}',
+            '{"id":"\\udc00","year":1994,"authors":["A"]}',
         ],
     )
     def test_lenient_skips_and_counts(self, line):
@@ -64,6 +67,16 @@ class TestParseJsonl:
         text = JSONL + "broken\n"
         with pytest.raises(InputError, match="line 4"):
             parse_jsonl(text, strict=True)
+
+    def test_lone_surrogate_strict_aborts(self):
+        text = JSONL + '{"id":"p3","year":1994,"authors":["\\ud800x","B"]}\n'
+        with pytest.raises(InputError, match="line 4"):
+            parse_jsonl(text, strict=True)
+
+    def test_surrogate_pair_escape_accepted(self):
+        line = '{"id":"p","year":1994,"authors":["\\ud83d\\ude00","caf\\u00e9"]}\n'
+        (pub,) = parse_jsonl(line).publications
+        assert pub.authors == ("\U0001f600", "caf\u00e9")
 
     def test_counting_contract(self):
         text = JSONL + "broken\n" + '{"id":"p3","year":1,"authors":["C"]}\n'

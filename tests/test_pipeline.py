@@ -30,6 +30,11 @@ def snapshot(out_dir: Path) -> dict[str, str]:
     }
 
 
+def read_csv_rows(path: Path) -> list[dict]:
+    with path.open(encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def drop_timestamp(manifest_text: str) -> dict:
     data = json.loads(manifest_text)
     assert data.pop("timestamp")
@@ -64,12 +69,12 @@ class TestArtifacts:
         out = Path(cfg.out_dir)
         for entry in manifest.years:
             y = entry["year"]
-            rules_rows = list(csv.DictReader((out / f"rules_{y}.csv").open()))
+            rules_rows = read_csv_rows(out / f"rules_{y}.csv")
             assert len(rules_rows) == entry["rules"]
             comm_payload = json.loads((out / f"communities_{y}.json").read_text())
             assert comm_payload["year"] == y
             assert len(comm_payload["communities"]) == entry["communities"]
-            attr_rows = list(csv.DictReader((out / f"attributes_{y}.csv").open()))
+            attr_rows = read_csv_rows(out / f"attributes_{y}.csv")
             assert len(attr_rows) == entry["communities"]
         timelines = json.loads((out / "timelines.json").read_text())["timelines"]
         assert len(timelines) == manifest.totals["timelines"]
@@ -84,7 +89,7 @@ class TestArtifacts:
             name, nodes, edges = parse_dot((out / f"snapshot_{y}.dot").read_text())
             assert name == f"snapshot_{y}"
             directions = edge_directions(edges)
-            rules = list(csv.DictReader((out / f"rules_{y}.csv").open()))
+            rules = read_csv_rows(out / f"rules_{y}.csv")
             assert directions == {(r["antecedent"], r["consequent"]) for r in rules}
             assert set(nodes) == {n for e in directions for n in e}
 

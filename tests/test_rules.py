@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from molmine.errors import ConfigError, InputError
@@ -133,6 +134,80 @@ class TestMineRules:
             assert 0 < r.support <= 1
             assert 0 < r.confidence <= 1
             assert r.lift > 0
+
+
+def _around(values):
+    """Each value with the doubles just below and above it."""
+    return sorted({w for v in values for w in (math.nextafter(v, -1.0), v, math.nextafter(v, 2.0))})
+
+
+# exact binary fractions: thresholds whose double is the rational itself
+_DYADIC = [k / 8 for k in range(17)]
+
+
+class TestIntegerThresholds:
+    """The integer floors of ``mine_rules`` against the ``Fraction`` oracle,
+    with every threshold placed on (or one double beside) a value the counts
+    can take: k/n for support, k/n_A for confidence, p*n/(n_A*n_B) for lift."""
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.lists(st.frozensets(st.sampled_from("ABCDEF"), max_size=6), min_size=1, max_size=16),
+        st.data(),
+    )
+    def test_matches_fraction_oracle_on_boundaries(self, transactions, data):
+        counts = count_pairs(transactions)
+        n = counts.n_transactions
+        singles = counts.singles.values()
+        support = _around([k / n for k in range(n + 1)] + _DYADIC[:9])
+        confidence = _around(
+            [k / n_a for n_a in singles for k in range(n_a + 1)] + _DYADIC[:9]
+        )
+        lift = _around(
+            [p * n / (counts.singles[a] * counts.singles[b]) for (a, b), p in counts.pairs.items()]
+            + _DYADIC
+        )
+        ms = min(max(data.draw(st.sampled_from(support)), 0.0), 1.0)
+        mc = min(max(data.draw(st.sampled_from(confidence)), 0.0), 1.0)
+        ml = max(data.draw(st.sampled_from(lift)), 0.0)
+        rules = mine_rules(transactions, Thresholds(ms, mc, ml))
+        keys = [(r.antecedent, r.consequent) for r in rules]
+        assert keys == sorted(keys)
+        # bitwise equality: same rule set and identical doubles
+        assert rules_as_dict(rules) == oracle_mine(transactions, ms, mc, ml)
+
+    @pytest.mark.parametrize(
+        "thresholds,kept",
+        [
+            # support 3/8 and confidence 3/4 are exact doubles: >= keeps them
+            (Thresholds(0.375, 0.75, 0.0), {("A", "B"), ("B", "A")}),
+            (Thresholds(math.nextafter(0.375, 1.0), 0.0, 0.0), set()),
+            (Thresholds(0.0, math.nextafter(0.75, 1.0), 0.0), set()),
+            # lift 8*3/(4*4) = 1.5 exactly: > drops it, one double below keeps it
+            (Thresholds(0.0, 0.0, 1.5), set()),
+            (Thresholds(0.0, 0.0, math.nextafter(1.5, 0.0)), {("A", "B"), ("B", "A")}),
+        ],
+    )
+    def test_exact_binary_boundaries(self, thresholds, kept):
+        transactions = [{"A", "B"}] * 3 + [{"A"}, {"B"}, set(), set(), set()]
+        rules = mine_rules(transactions, thresholds)
+        assert {(r.antecedent, r.consequent) for r in rules} == kept
+
+    @pytest.mark.parametrize(
+        "thresholds,kept",
+        [
+            # the double 0.3 lies just below 3/10, its successor just above
+            (Thresholds(0.3, 0.0, 0.0), {("A", "B"), ("B", "A")}),
+            (Thresholds(math.nextafter(0.3, 1.0), 0.0, 0.0), set()),
+            (Thresholds(0.0, 0.3, 0.0), {("A", "B"), ("B", "A")}),
+            (Thresholds(0.0, math.nextafter(0.3, 1.0), 0.0), {("B", "A")}),
+        ],
+    )
+    def test_decimal_boundaries(self, thresholds, kept):
+        # support 3/10, confidence A=>B 3/10 and B=>A 1, lift 1
+        transactions = [{"A", "B"}] * 3 + [{"A"}] * 7
+        rules = mine_rules(transactions, thresholds)
+        assert {(r.antecedent, r.consequent) for r in rules} == kept
 
 
 class TestSampling:
