@@ -14,10 +14,11 @@ A rule survives when support and confidence clear their minima and lift is
 positively correlated pairs remain.
 """
 
+from collections import Counter
+
 from molmine import (
     Thresholds,
     bucket_by_year,
-    count_pairs,
     mine_rules,
     parse_jsonl,
     rules_to_csv,
@@ -47,9 +48,9 @@ def main() -> None:
 
     for year in buckets.years():
         transactions = [p.author_set for p in buckets.buckets[year]]
-        counts = count_pairs(transactions)
-        print(f"--- {year}: {counts.n_transactions} transactions ---")
-        print(f"author frequencies: {dict(sorted(counts.singles.items()))}")
+        frequencies = Counter(a for t in transactions for a in t)
+        print(f"--- {year}: {len(transactions)} transactions ---")
+        print(f"author frequencies: {dict(sorted(frequencies.items()))}")
 
         # Wide open thresholds show every co-occurring ordered pair ...
         everything = mine_rules(transactions, Thresholds(0.0, 0.0, 0.0))

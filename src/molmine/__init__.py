@@ -33,8 +33,8 @@ from .ingest import (
 from .pipeline import PipelineConfig, RunManifest, run_pipeline
 from .rules import (
     Rule,
+    RuleTable,
     Thresholds,
-    count_pairs,
     mine_rules,
     rules_from_csv,
     rules_to_csv,
@@ -71,6 +71,7 @@ __all__ = [
     "Publication",
     "Role",
     "Rule",
+    "RuleTable",
     "RunManifest",
     "Signature",
     "Thresholds",
@@ -82,7 +83,6 @@ __all__ = [
     "classify_lifecycle",
     "communities",
     "communities_json",
-    "count_pairs",
     "cut",
     "generate_corpus",
     "hcluster",

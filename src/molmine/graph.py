@@ -8,10 +8,12 @@ roles and motifs are read per community (see :mod:`molmine.decompose`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .errors import InputError
-from .rules import Rule
+from .rules import RuleTable
 
 
 class GraphError(ValueError):
@@ -44,15 +46,30 @@ class AssocGraph:
         return cls(year=year, nodes=nodes, edges=edge_set)
 
 
-def build_graph(rules: Sequence[Rule], year: int) -> AssocGraph:
-    """Turn mined rules into the year's association graph, one edge per rule."""
-    edges: set[tuple[str, str]] = set()
-    for r in rules:
-        e = (r.antecedent, r.consequent)
-        if e in edges:
-            raise GraphError(f"duplicate rule {r.antecedent} => {r.consequent}")
-        edges.add(e)
-    return AssocGraph.from_edges(edges, year=year)
+def build_graph(rules: RuleTable, year: int) -> AssocGraph:
+    """Turn mined rules into the year's association graph, one edge per rule.
+
+    The edge set is built from the table's id columns; the nodes are the
+    names that occur in a rule.
+    """
+    names, antecedent, consequent = rules.names, rules.antecedent, rules.consequent
+    codes = antecedent * len(names) + consequent
+    first = np.unique(codes, return_index=True)[1]
+    if first.size < codes.size:
+        repeated = np.ones(codes.size, dtype=bool)
+        repeated[first] = False
+        i = int(np.flatnonzero(repeated)[0])
+        raise GraphError(f"duplicate rule {names[antecedent[i]]} => {names[consequent[i]]}")
+    loops = np.flatnonzero(antecedent == consequent)
+    if loops.size:
+        raise GraphError(f"self-loop on {names[antecedent[loops[0]]]!r} not allowed")
+    column = np.array(names, dtype=object)
+    used = np.bincount(np.concatenate([antecedent, consequent]), minlength=len(names))
+    return AssocGraph(
+        year=year,
+        nodes=frozenset(column[used > 0].tolist()),
+        edges=frozenset(zip(column[antecedent].tolist(), column[consequent].tolist())),
+    )
 
 
 def parse_edge_list(text: str, year: int = 0) -> AssocGraph:

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
-from ._util import derive_seed, round12
+from ._util import derive_seed, is_utf8_str, round12
 from ._version import __version__
 from .cluster import LINKAGES, Dendrogram, hcluster
 from .decompose import Community, attributes_csv, communities, communities_json
@@ -69,6 +69,10 @@ class PipelineConfig:
     def validate(self) -> None:
         if not self.inputs:
             raise ConfigError("at least one input path is required")
+        for path in self.inputs:
+            # the manifest echoes the paths, and it is written as UTF-8
+            if not is_utf8_str(path):
+                raise ConfigError(f"input path {path!r} cannot be encoded as UTF-8")
         resolved = [str(Path(p).resolve()) for p in self.inputs]
         if len(set(resolved)) != len(resolved):
             raise ConfigError("input paths must be distinct")

@@ -7,17 +7,22 @@ former merge loop of ``hcluster``; ``primitive_attribute_vector``,
 ``primitive_classify_motif`` and ``primitive_arity``, the former per-call
 community descriptions; ``communities_json_dict``, the former
 communities-JSON document that ``json.dumps`` encoded; and
-``primitive_to_dot``, the former DOT renderer. Each is kept as the exact
-reference for its rewrite.
+``primitive_to_dot``, the former DOT renderer; ``count_pairs``, the former
+pair counter of ``mine_rules``; and ``primitive_rules_to_csv``, the former
+row-by-row rules CSV writer. Each is kept as the exact reference for its
+rewrite.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from collections import defaultdict
-from typing import Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,10 +34,47 @@ from molmine.cluster import (
     _minmax_scale,
     _pairwise,
 )
+from molmine._util import fmt12
 from molmine.decompose import Arity, AttributeVector, Community, MotifClass, roles
+from molmine.rules import RULES_CSV_HEADER, Rule
 
 
 # ----------------------------------------------------------------- mining
+
+
+@dataclass
+class PairCounts:
+    """Singleton and unordered-pair co-occurrence counts for one bucket."""
+
+    n_transactions: int
+    singles: Counter[str]
+    pairs: Counter[tuple[str, str]]
+
+
+def count_pairs(transactions: Iterable[Collection[str]]) -> PairCounts:
+    """Count, per author and per unordered co-occurring pair, the number of
+    transactions containing them."""
+    singles: Counter[str] = Counter()
+    pairs: Counter[tuple[str, str]] = Counter()
+    n = 0
+    for t in transactions:
+        n += 1
+        authors = sorted(set(t))
+        singles.update(authors)
+        pairs.update(combinations(authors, 2))
+    return PairCounts(n, singles, pairs)
+
+
+def primitive_rules_to_csv(rules: Iterable[Rule]) -> str:
+    """Render rules as CSV with doubles at 12 significant digits."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RULES_CSV_HEADER)
+    for r in rules:
+        writer.writerow(
+            [r.antecedent, r.consequent, fmt12(r.support), fmt12(r.confidence), fmt12(r.lift)]
+        )
+    return buf.getvalue()
 
 
 def oracle_mine(transactions, min_support, min_confidence, min_lift):

@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +218,14 @@ class TestDecompose:
         rc, _, err = run(capsys, "decompose", "--rules", str(rules))
         assert rc == 1
         assert "duplicate rule" in err
+
+    @pytest.mark.parametrize("row", [",B,0.5,1,2", "A,,0.5,1,2"])
+    def test_empty_rule_name_exits_1(self, tmp_path, capsys, row):
+        rules = tmp_path / "rules.csv"
+        rules.write_text(f"antecedent,consequent,support,confidence,lift\n{row}\n")
+        rc, _, err = run(capsys, "decompose", "--rules", str(rules))
+        assert rc == 1
+        assert "empty author name" in err and "line 2" in err
 
 
 class TestCluster:
@@ -482,6 +492,15 @@ class TestLoneSurrogates:
         config.write_text(json.dumps({"input": [str(corpus)], key: value}))
         rc, _, err = run(capsys, "pipeline", "--config", str(config))
         assert rc == 2 and "lone surrogate" in err and key in err
+
+    def test_input_path_not_utf8_exits_2(self, corpus, tmp_path, capsys):
+        # a command-line path holding the byte 0xff reaches Python as "\udcff"
+        path = os.fsdecode(os.fsencode(tmp_path) + b"/\xff.jsonl")
+        Path(path).write_bytes(corpus.read_bytes())
+        out_dir = tmp_path / "out"
+        rc, _, err = run(capsys, "pipeline", "--input", path, "--out-dir", str(out_dir))
+        assert rc == 2 and "cannot be encoded as UTF-8" in err
+        assert not out_dir.exists()
 
 
 class TestExportDot:

@@ -3,11 +3,15 @@ import pytest
 from molmine.decompose import MotifClass, Role, communities, roles
 from molmine.errors import InputError
 from molmine.graph import AssocGraph, GraphError, build_graph, parse_edge_list
-from molmine.rules import Rule
+from molmine.rules import Rule, RuleTable, Thresholds, mine_rules
 
 
 def rule(a, b):
     return Rule(a, b, 0.1, 0.5, 2.0)
+
+
+def table(*rules):
+    return RuleTable.from_rules(rules)
 
 
 class TestConstruction:
@@ -27,11 +31,27 @@ class TestConstruction:
 
     def test_build_graph_rejects_duplicate_rules(self):
         with pytest.raises(GraphError):
-            build_graph([rule("A", "B"), rule("A", "B")], year=0)
+            build_graph(table(rule("A", "B"), rule("A", "B")), year=0)
 
     def test_build_graph(self):
-        g = build_graph([rule("A", "B"), rule("B", "A")], year=2001)
+        g = build_graph(table(rule("A", "B"), rule("B", "A")), year=2001)
         assert g.year == 2001 and g.edges == frozenset({("A", "B"), ("B", "A")})
+
+    def test_build_graph_names_first_repeated_rule(self):
+        rules = table(rule("C", "D"), rule("A", "B"), rule("C", "D"), rule("A", "B"))
+        with pytest.raises(GraphError, match="duplicate rule C => D"):
+            build_graph(rules, year=0)
+
+    def test_build_graph_rejects_self_loop(self):
+        with pytest.raises(GraphError, match="self-loop on 'A'"):
+            build_graph(table(rule("B", "C"), rule("A", "A")), year=0)
+
+    def test_build_graph_nodes_are_rule_endpoints(self):
+        # mined tables keep every author of the year among their names
+        rules = mine_rules([{"A", "B"}, {"A", "B"}, {"C"}, {"D", "E"}], Thresholds(0.5, 0.0, 1.0))
+        assert rules.names == ["A", "B", "C", "D", "E"]
+        g = build_graph(rules, year=0)
+        assert g.nodes == frozenset("AB") and g.edges == frozenset({("A", "B"), ("B", "A")})
 
 
 class TestPredicates:

@@ -8,7 +8,7 @@ from molmine import decompose
 from molmine.corpus import generate_corpus
 from molmine.errors import ConfigError, InputError
 from molmine.pipeline import PipelineConfig, RunManifest, run_pipeline
-from molmine.rules import Thresholds
+from molmine.rules import Rule, Thresholds, mine_rules
 from dot_grammar import edge_directions, parse_dot
 
 YEAR_FILES = ("rules_{y}.csv", "communities_{y}.json", "attributes_{y}.csv", "snapshot_{y}.dot")
@@ -166,6 +166,25 @@ class TestDescribedOnce:
         manifest = run_pipeline(cfg)
         assert manifest.totals["communities"] == 21
         assert len(calls) == len(set(calls)) == 21
+
+
+class TestNoRuleObjects:
+    def test_pipeline_builds_no_rule(self, corpus_path, tmp_path, monkeypatch):
+        built = []
+        init = Rule.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Rule, "__init__", counted)
+        manifest = run_pipeline(
+            PipelineConfig(inputs=(str(corpus_path),), out_dir=str(tmp_path / "out"))
+        )
+        assert manifest.totals["rules"] > 0
+        assert built == []
+        next(iter(mine_rules([{"A", "B"}], Thresholds(0.0, 0.0, 0.0))))
+        assert len(built) == 1  # the count sees a Rule built on demand
 
 
 class TestEmptyAndErrors:

@@ -1,38 +1,78 @@
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from molmine import rules as rules_mod
 from molmine.errors import ConfigError, InputError
 from molmine.rules import (
     Rule,
+    RuleTable,
     Thresholds,
-    count_pairs,
     mine_rules,
     rules_from_csv,
     rules_to_csv,
     sample_transactions,
 )
-from oracles import oracle_mine
+from oracles import PairCounts, count_pairs, oracle_mine, primitive_rules_to_csv
+from strategies import NAMES
 
 
 def rules_as_dict(rules):
     return {(r.antecedent, r.consequent): (r.support, r.confidence, r.lift) for r in rules}
 
 
+def array_counts(transactions):
+    """The array counts of ``mine_rules`` keyed by name, as ``count_pairs``
+    gives them."""
+    names, n, singles, pairs, counts = rules_mod._count(transactions)
+    a, b = np.divmod(pairs, max(len(names), 1))
+    return PairCounts(
+        n,
+        Counter(dict(zip(names, singles.tolist()))),
+        Counter(
+            {(names[i], names[j]): p for i, j, p in zip(a.tolist(), b.tolist(), counts.tolist())}
+        ),
+    )
+
+
+#: Transactions over a few names mixing escapes, non-ASCII and astral
+#: characters, with authors repeated inside a transaction.
+UNICODE_TRANSACTIONS = st.lists(NAMES, min_size=1, max_size=6, unique=True).flatmap(
+    lambda names: st.lists(st.lists(st.sampled_from(names), max_size=8), max_size=14)
+)
+
+_SETTINGS_GRID = [
+    (0.001, 0.05, 1.0),
+    (0.0, 0.0, 0.0),
+    (0.2, 0.3, 1.1),
+    (0.5, 0.5, 0.5),
+    (1.0, 1.0, 1.0),
+    (0.1, 0.0, 2.0),
+    (0.25, 0.75, 0.0),
+]
+
+
 class TestCounts:
     def test_count_pairs(self):
-        counts = count_pairs([{"A", "B"}, {"A", "B", "C"}, {"B"}])
+        counts = array_counts([{"A", "B"}, {"A", "B", "C"}, {"B"}])
         assert counts.n_transactions == 3
         assert counts.singles == {"A": 2, "B": 3, "C": 1}
         assert counts.pairs == {("A", "B"): 2, ("A", "C"): 1, ("B", "C"): 1}
 
     def test_duplicate_authors_in_transaction_count_once(self):
-        counts = count_pairs([["A", "A", "B"]])
+        counts = array_counts([["A", "A", "B"]])
         assert counts.singles["A"] == 1
         assert counts.pairs[("A", "B")] == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(UNICODE_TRANSACTIONS)
+    def test_array_counts_match_reference(self, transactions):
+        assert array_counts(transactions) == count_pairs(transactions)
 
     def test_measures(self):
         transactions = [{"A", "B"}, {"A", "B"}, {"A", "C"}, {"B"}]
@@ -85,7 +125,7 @@ class TestMineRules:
         at_boundary = mine_rules(
             transactions, Thresholds(min_support=0.25, min_confidence=0.5, min_lift=1.0)
         )
-        assert at_boundary == []  # lift 1.0 is not > 1.0
+        assert list(at_boundary) == []  # lift 1.0 is not > 1.0
         below = mine_rules(
             transactions, Thresholds(min_support=0.25, min_confidence=0.5, min_lift=0.99)
         )
@@ -97,20 +137,12 @@ class TestMineRules:
         assert keys == sorted(keys)
 
     def test_empty_transactions(self):
-        assert mine_rules([]) == []
-        assert mine_rules([set(), set()]) == []
+        assert list(mine_rules([])) == []
+        assert list(mine_rules([set(), set()])) == []
 
     def test_oracle_agreement_randomized(self):
         rng = random.Random(20240817)
-        settings_grid = [
-            (0.001, 0.05, 1.0),
-            (0.0, 0.0, 0.0),
-            (0.2, 0.3, 1.1),
-            (0.5, 0.5, 0.5),
-            (1.0, 1.0, 1.0),
-            (0.1, 0.0, 2.0),
-            (0.25, 0.75, 0.0),
-        ]
+        settings_grid = _SETTINGS_GRID
         authors = "ABCDEFGH"
         for trial in range(120):
             n = rng.randint(1, 20)
@@ -121,6 +153,27 @@ class TestMineRules:
             ms, mc, ml = settings_grid[trial % len(settings_grid)]
             got = rules_as_dict(mine_rules(transactions, Thresholds(ms, mc, ml)))
             # bitwise equality: same rule set and identical doubles
+            assert got == oracle_mine(transactions, ms, mc, ml)
+
+    @settings(max_examples=200, deadline=None)
+    @given(UNICODE_TRANSACTIONS, st.sampled_from(_SETTINGS_GRID))
+    def test_oracle_agreement_unicode_names(self, transactions, grid):
+        rules = mine_rules(transactions, Thresholds(*grid))
+        keys = [(r.antecedent, r.consequent) for r in rules]
+        assert keys == sorted(keys)
+        # bitwise equality: same rule set and identical doubles
+        assert rules_as_dict(rules) == oracle_mine(transactions, *grid)
+
+    def test_python_division_matches_oracle(self, monkeypatch):
+        # the path taken when n * n reaches 2**53: counts as Python ints
+        monkeypatch.setattr(rules_mod, "_EXACT_DOUBLE", 0)
+        rng = random.Random(7)
+        for trial in range(60):
+            transactions = [
+                set(rng.sample("ABCDEF", rng.randint(0, 6))) for _ in range(rng.randint(1, 16))
+            ]
+            ms, mc, ml = _SETTINGS_GRID[trial % len(_SETTINGS_GRID)]
+            got = rules_as_dict(mine_rules(transactions, Thresholds(ms, mc, ml)))
             assert got == oracle_mine(transactions, ms, mc, ml)
 
     @settings(max_examples=60)
@@ -156,7 +209,7 @@ class TestIntegerThresholds:
         st.data(),
     )
     def test_matches_fraction_oracle_on_boundaries(self, transactions, data):
-        counts = count_pairs(transactions)
+        counts = count_pairs(transactions)  # the reference counts
         n = counts.n_transactions
         singles = counts.singles.values()
         support = _around([k / n for k in range(n + 1)] + _DYADIC[:9])
@@ -209,6 +262,38 @@ class TestIntegerThresholds:
         rules = mine_rules(transactions, thresholds)
         assert {(r.antecedent, r.consequent) for r in rules} == kept
 
+    @pytest.mark.parametrize(
+        "transactions,min_lift,kept",
+        [
+            # lift 4/3 rounds down to the double 4/3: the exact lift is above it
+            ([{"A", "C"}, {"A"}, {"A"}, {"B"}], 4 / 3, {("A", "C"), ("C", "A")}),
+            # lift 5/3 rounds up to the double 5/3: the exact lift is below it
+            ([{"A", "C"}, {"A"}, {"A"}, {"B"}, {"B"}], 5 / 3, set()),
+            ([{"A", "C"}, {"A"}, {"A"}, {"B"}, {"B"}], math.nextafter(5 / 3, 0.0),
+             {("A", "C"), ("C", "A")}),
+        ],
+    )
+    def test_lift_equal_to_threshold_decided_exactly(self, transactions, min_lift, kept):
+        rules = mine_rules(transactions, Thresholds(0.0, 0.0, min_lift))
+        assert {(r.antecedent, r.consequent) for r in rules} == kept
+        assert rules_as_dict(rules) == oracle_mine(transactions, 0.0, 0.0, min_lift)
+
+    @pytest.mark.parametrize(
+        "transactions,kept",
+        [
+            # p*n*den = 200*200*2**51 > 2**63 at min_lift 1.1; lift is 1
+            ([{"A", "B"}] * 200, set()),
+            # p*n*den = 100*200*2**51 > 2**63; lift is 2
+            ([{"A", "B"}] * 100 + [set()] * 100, {("A", "B"), ("B", "A")}),
+        ],
+    )
+    def test_lift_products_beyond_int64(self, transactions, kept):
+        num, den = (1.1).as_integer_ratio()
+        assert len(transactions) ** 2 * den > 2**63
+        rules = mine_rules(transactions, Thresholds(0.0, 0.0, 1.1))
+        assert {(r.antecedent, r.consequent) for r in rules} == kept
+        assert rules_as_dict(rules) == oracle_mine(transactions, 0.0, 0.0, 1.1)
+
 
 class TestSampling:
     def test_deterministic_and_order_preserving(self):
@@ -232,11 +317,11 @@ class TestRulesCsv:
         lines = text.splitlines()
         assert lines[0] == "antecedent,consequent,support,confidence,lift"
         assert lines[1] == "A,B,0.5,1,2"
-        assert rules_from_csv(text) == rules
+        assert list(rules_from_csv(text)) == list(rules)
 
     def test_twelve_significant_digits(self):
         rule = Rule("A", "B", 1 / 3, 2 / 3, 4 / 3)
-        text = rules_to_csv([rule])
+        text = rules_to_csv(RuleTable.from_rules([rule]))
         assert "0.333333333333" in text and "1.33333333333" in text
 
     def test_bad_header(self):
@@ -247,3 +332,68 @@ class TestRulesCsv:
         good = rules_to_csv(mine_rules([{"A", "B"}, {"A", "B"}]))
         with pytest.raises(InputError):
             rules_from_csv(good + "A,B,oops,1,1\n")
+
+    @pytest.mark.parametrize("row", [",B,1,1,1", "A,,1,1,1", '"",B,1,1,1'])
+    def test_empty_name_names_its_line(self, row):
+        text = f"antecedent,consequent,support,confidence,lift\nA,B,1,1,1\n{row}\n"
+        with pytest.raises(InputError, match="line 3"):
+            rules_from_csv(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                Rule,
+                st.one_of(NAMES, st.text(alphabet=' ,"\r\nAé', min_size=1, max_size=4)),
+                st.one_of(NAMES, st.text(alphabet=' ,"\r\nAé', min_size=1, max_size=4)),
+                st.floats(),
+                st.floats(),
+                st.floats(),
+            ),
+            max_size=20,
+        )
+    )
+    @example([Rule("A", "B", 0.0, -0.0, math.nan), Rule(" A", "B,", -0.0, 0.0, -math.inf)])
+    def test_matches_row_by_row_writer(self, rules):
+        # names holding separators, quotes, line breaks and leading spaces;
+        # any double, -0.0, infinities and NaN included
+        assert rules_to_csv(RuleTable.from_rules(rules)) == primitive_rules_to_csv(rules)
+
+    def test_mined_rules_match_row_by_row_writer(self):
+        transactions = [{" A", 'B"', "C,D"}, {" A", 'B"'}, {"e\nf", "C,D"}, {"e\nf", "C,D"}]
+        rules = mine_rules(transactions, Thresholds(0.0, 0.0, 0.0))
+        assert len(rules) == 8
+        assert rules_to_csv(rules) == primitive_rules_to_csv(list(rules))
+
+
+class TestRuleTable:
+    RULES = [
+        Rule("B", "A", 0.5, 1.0, 2.0),
+        Rule("A", "C", 0.25, 0.5, 1.5),
+        Rule("C", "B", 0.1, 0.2, 3.0),
+    ]
+
+    def test_sequence_of_rules(self):
+        table = RuleTable.from_rules(self.RULES)
+        assert table.names == ["A", "B", "C"]
+        assert len(table) == 3
+        assert list(table) == self.RULES  # row order kept
+        assert table[0] == self.RULES[0] and table[-1] == self.RULES[-1]
+        assert table[1:] == self.RULES[1:]
+        assert list(reversed(table)) == self.RULES[::-1]
+        assert self.RULES[1] in table and table.index(self.RULES[2]) == 2
+        with pytest.raises(IndexError):
+            table[3]
+
+    def test_columns(self):
+        table = mine_rules([{"b", "a"}, {"b", "a"}, {"c"}])
+        assert table.names == ["a", "b", "c"]
+        assert table.antecedent.tolist() == [0, 1] and table.consequent.tolist() == [1, 0]
+        assert table.support.tolist() == [2 / 3, 2 / 3]
+        assert table.confidence.tolist() == [1.0, 1.0]
+        assert table.lift.tolist() == [1.5, 1.5]
+
+    def test_empty(self):
+        table = RuleTable.from_rules([])
+        assert len(table) == 0 and list(table) == [] and table.names == []
+        assert rules_to_csv(table) == "antecedent,consequent,support,confidence,lift\n"
